@@ -14,7 +14,7 @@ from .languages import LANGUAGES, get_language
 from .metavar import MetaSubstitution
 from .reduction import FuelExhausted, normal_form, reduce
 from .syntax import ParseError, parse_constraint, parse_term, print_constraint, print_entry, print_term
-from .terms import MetaApp, Op, Term
+from .terms import MetaApp, Term, subterms
 from .typecheck import (
     DependencyEscape,
     FuelExhausted as TypeFuelExhausted,
@@ -89,23 +89,18 @@ def _show_type(lang, ty: Term, args: argparse.Namespace) -> str:
 
 
 def _ordered_metas(terms: Iterable[Term]) -> list[str]:
-    order: list[str] = []
+    found = (t.meta for term in terms for t, _, _, _ in subterms(term) if type(t) is MetaApp)
+    return list(dict.fromkeys(found))
 
-    def go(t: Term | None) -> None:
-        match t:
-            case MetaApp(name, metaargs):
-                if name not in order:
-                    order.append(name)
-                for a in metaargs:
-                    go(a)
-            case Op(_, children, ann):
-                for c in children:
-                    go(c)
-                go(ann)
 
-    for t in terms:
-        go(t)
-    return order
+def _too_deep() -> int:
+    """Report a term too deeply nested for the stages that still recurse
+    (the type checker and structural equality of terms)."""
+    print(
+        f"undetermined: term nesting exceeds the recursion limit ({sys.getrecursionlimit()})",
+        file=sys.stderr,
+    )
+    return EXIT_UNDETERMINED
 
 
 def _run_reduce(lang, args: argparse.Namespace) -> int:
@@ -144,6 +139,8 @@ def _run_unify(lang, args: argparse.Namespace) -> int:
     except (Undetermined, FuelExhausted) as exc:
         print(f"undetermined: {exc}", file=sys.stderr)
         return EXIT_UNDETERMINED
+    except RecursionError:
+        return _too_deep()
     asked = _ordered_metas(t for c in constraints for t in (c.lhs, c.rhs))
     for name in asked:
         entry = solution.substs.get(name)
@@ -158,17 +155,17 @@ def _run_typed(lang, args: argparse.Namespace) -> int:
     if not lang.infer_rules:
         print(f"language {lang.name!r} has no type system", file=sys.stderr)
         return EXIT_USAGE
+    if args.command == "check" and args.colon != ":":
+        print("usage: check EXPR : TYPE", file=sys.stderr)
+        return EXIT_USAGE
+    term = parse_term(args.expr, lang)
+    expected = parse_term(args.type, lang) if args.command == "check" else None
     checker = TypeChecker(lang, _config(args))
     try:
-        if args.command == "infer":
-            typed = checker.infer(parse_term(args.expr, lang))
+        if expected is None:
+            typed = checker.infer(term)
         else:
-            if args.colon != ":":
-                print("usage: check EXPR : TYPE", file=sys.stderr)
-                return EXIT_USAGE
-            typed = checker.check(
-                parse_term(args.expr, lang), parse_term(args.type, lang)
-            )
+            typed = checker.check(term, expected)
         ty = checker.type_of(typed)
     except UnificationFailure as exc:
         print(
@@ -186,6 +183,8 @@ def _run_typed(lang, args: argparse.Namespace) -> int:
     except TypeFuelExhausted as exc:
         print(f"undetermined: {exc}", file=sys.stderr)
         return EXIT_UNDETERMINED
+    except RecursionError:
+        return _too_deep()
     except TypeCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

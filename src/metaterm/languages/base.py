@@ -31,7 +31,6 @@ class Language:
     typed_reducer: Reducer
     infer_rules: Mapping[str, InferRule]
     dependent_types: bool = False
-    universe_tag: str | None = None
 
     def typed_view(self) -> "Language":
         """The same language seen through its annotated signature, for

@@ -6,7 +6,7 @@ universe, and the two tags are identified during matching.
 
 from __future__ import annotations
 
-from ..reduction import Reducer
+from ..reduction import Reducer, beta, identity_elim, projection
 from ..signature import Shape, SlotKind, annotate_signature, make_signature
 from ..terms import Bound, Op, instantiate, weaken
 from ..typecheck import INFINITE_UNIVERSE, erase
@@ -54,32 +54,11 @@ signature = make_signature(
 
 
 def make_rules(sig) -> Reducer:
-    def app(node: Op, go):
-        fun = go(node.children[0])
-        if isinstance(fun, Op) and fun.tag == LAM:
-            return go(instantiate(sig, fun.children[0], node.children[1]))
-        return Op(APP, (fun, node.children[1]), node.ann)
-
-    def project(index: int, tag: str):
-        def rule(node: Op, go):
-            pair = go(node.children[0])
-            if isinstance(pair, Op) and pair.tag == PAIR:
-                return go(pair.children[index])
-            return Op(tag, (pair,), node.ann)
-
-        return rule
-
-    def eliminate_id(node: Op, go):
-        proof = go(node.children[5])
-        if isinstance(proof, Op) and proof.tag == REFL:
-            return go(node.children[3])
-        return Op(J, (*node.children[:5], proof), node.ann)
-
     return {
-        APP: app,
-        FIRST: project(0, FIRST),
-        SECOND: project(1, SECOND),
-        J: eliminate_id,
+        APP: beta(sig),
+        FIRST: projection(0),
+        SECOND: projection(1),
+        J: identity_elim(),
     }
 
 
@@ -137,34 +116,24 @@ def _infer_pair(tc, node):
     return Op(PAIR, (a, b), ty)
 
 
-def _infer_first(tc, node):
-    sig = tc.lang.typed_signature
-    pair = tc.infer(node.children[0])
-    pair_ty = tc.whnf(tc.type_of(pair))
-    if isinstance(pair_ty, Op) and pair_ty.tag == SIGMA:
+def _infer_projection(index: int):
+    def rule(tc, node):
+        sig = tc.lang.typed_signature
+        pair = tc.infer(node.children[0])
+        pair_ty = tc.whnf(tc.type_of(pair))
+        if not (isinstance(pair_ty, Op) and pair_ty.tag == SIGMA):
+            first_ty = tc.fresh_type_meta_var()
+            second_ty = weaken(sig, tc.fresh_type_meta_var(), 1)
+            expected = Op(SIGMA, (first_ty, second_ty), UNIVERSE_NODE)
+            tc.unify_with_expected(pair_ty, expected)
+            pair_ty = expected
         result = tc.clarify_term(pair_ty.children[0])
-    else:
-        first_ty = tc.fresh_type_meta_var()
-        second_ty = weaken(sig, tc.fresh_type_meta_var(), 1)
-        tc.unify_with_expected(pair_ty, Op(SIGMA, (first_ty, second_ty), UNIVERSE_NODE))
-        result = tc.clarify_term(first_ty)
-    return Op(FIRST, (tc.clarify_term(pair),), result)
+        if index == 1:
+            first = Op(FIRST, (pair,), result)
+            result = tc.clarify_term(instantiate(sig, pair_ty.children[1], first))
+        return Op(node.tag, (tc.clarify_term(pair),), result)
 
-
-def _infer_second(tc, node):
-    sig = tc.lang.typed_signature
-    pair = tc.infer(node.children[0])
-    pair_ty = tc.whnf(tc.type_of(pair))
-    if isinstance(pair_ty, Op) and pair_ty.tag == SIGMA:
-        first = Op(FIRST, (pair,), tc.clarify_term(pair_ty.children[0]))
-        result = tc.clarify_term(instantiate(sig, pair_ty.children[1], first))
-    else:
-        first_ty = tc.fresh_type_meta_var()
-        second_ty = tc.fresh_type_meta_var()
-        expected = Op(SIGMA, (first_ty, weaken(sig, second_ty, 1)), UNIVERSE_NODE)
-        tc.unify_with_expected(pair_ty, expected)
-        result = tc.clarify_term(second_ty)
-    return Op(SECOND, (tc.clarify_term(pair),), result)
+    return rule
 
 
 def _infer_id_type(tc, node):
@@ -205,19 +174,19 @@ def _infer_j(tc, node):
             ),
         ),
     )
-    motive = tc.should_have_type(tc.infer(node.children[2]), tc.elaborate(motive_ty))
+    motive = tc.should_have_type(tc.infer(node.children[2]), tc.infer(motive_ty))
     e_motive = erase(motive)
 
     base_ty = Op(APP, (Op(APP, (e_motive, e_a)), Op(REFL, (e_a,))))
-    base = tc.should_have_type(tc.infer(node.children[3]), tc.elaborate(base_ty))
+    base = tc.should_have_type(tc.infer(node.children[3]), tc.infer(base_ty))
 
     x = tc.should_have_type(tc.infer(node.children[4]), tc.clarify_term(ty_a))
     e_x = erase(x)
     proof = tc.should_have_type(
-        tc.infer(node.children[5]), tc.elaborate(Op(ID_TYPE, (e_a, e_x)))
+        tc.infer(node.children[5]), tc.infer(Op(ID_TYPE, (e_a, e_x)))
     )
 
-    result = tc.elaborate(Op(APP, (Op(APP, (e_motive, e_x)), erase(proof))))
+    result = tc.infer(Op(APP, (Op(APP, (e_motive, e_x)), erase(proof))))
     children = tuple(tc.clarify_term(c) for c in (ty_a, a, motive, base, x, proof))
     return Op(J, children, result)
 
@@ -229,8 +198,8 @@ infer_rules = {
     LAM: _infer_lam,
     APP: _infer_app,
     PAIR: _infer_pair,
-    FIRST: _infer_first,
-    SECOND: _infer_second,
+    FIRST: _infer_projection(0),
+    SECOND: _infer_projection(1),
     ID_TYPE: _infer_id_type,
     REFL: _infer_refl,
     J: _infer_j,
@@ -246,5 +215,4 @@ language = Language(
     typed_reducer=make_rules(typed_signature),
     infer_rules=infer_rules,
     dependent_types=True,
-    universe_tag=UNIVERSE,
 )

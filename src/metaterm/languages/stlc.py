@@ -7,9 +7,9 @@ compute (nothing stops an application from appearing in type position).
 
 from __future__ import annotations
 
-from ..reduction import Reducer
+from ..reduction import Reducer, beta, projection
 from ..signature import Shape, SlotKind, annotate_signature, make_signature
-from ..terms import Op, instantiate
+from ..terms import Op
 from ..typecheck import INFINITE_UNIVERSE
 from .base import Language
 
@@ -46,22 +46,7 @@ signature = make_signature(
 
 
 def make_rules(sig) -> Reducer:
-    def app(node: Op, go):
-        fun = go(node.children[0])
-        if isinstance(fun, Op) and fun.tag == LAM:
-            return go(instantiate(sig, fun.children[-1], node.children[1]))
-        return Op(APP, (fun, node.children[1]), node.ann)
-
-    def project(index: int, tag: str):
-        def rule(node: Op, go):
-            pair = go(node.children[0])
-            if isinstance(pair, Op) and pair.tag == PAIR:
-                return go(pair.children[index])
-            return Op(tag, (pair,), node.ann)
-
-        return rule
-
-    return {APP: app, FIRST: project(0, FIRST), SECOND: project(1, SECOND)}
+    return {APP: beta(sig), FIRST: projection(0), SECOND: projection(1)}
 
 
 # -- typing rules ----------------------------------------------------------

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from ..reduction import Reducer
+from ..reduction import beta
 from ..signature import Shape, SlotKind, annotate_signature, make_signature
-from ..terms import Op, instantiate
 from .base import Language
 
 LAM = "Lam"
@@ -21,26 +20,13 @@ signature = make_signature(
 )
 
 
-def make_rules(sig) -> Reducer:
-    """Beta reduction; works for any signature containing Lam and App with
-    the same slot layout (the lambda body is the last child)."""
-
-    def app(node: Op, go):
-        fun = go(node.children[0])
-        if isinstance(fun, Op) and fun.tag == LAM:
-            return go(instantiate(sig, fun.children[-1], node.children[1]))
-        return Op(APP, (fun, node.children[1]), node.ann)
-
-    return {APP: app}
-
-
 typed_signature = annotate_signature(signature)
 
 language = Language(
     name="ulc",
     signature=signature,
-    reducer=make_rules(signature),
+    reducer={APP: beta(signature)},
     typed_signature=typed_signature,
-    typed_reducer=make_rules(typed_signature),
+    typed_reducer={APP: beta(typed_signature)},
     infer_rules={},
 )

@@ -7,7 +7,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .signature import Signature
-from .terms import Hole, MetaApp, Op, Term, instantiate_many
+from .terms import Hole, MetaApp, Term, instantiate_many, rebuild, subterms
 
 
 class ArityMismatch(Exception):
@@ -33,17 +33,7 @@ class MetaAbs:
 
 
 def _max_hole(term: Term | None) -> int:
-    match term:
-        case Hole(i):
-            return i
-        case MetaApp(_, args):
-            return max((_max_hole(a) for a in args), default=-1)
-        case Op(_, children, ann):
-            return max(
-                (_max_hole(c) for c in (*children, ann) if c is not None),
-                default=-1,
-            )
-    return -1
+    return max((t.index for t, _, _, _ in subterms(term) if type(t) is Hole), default=-1)
 
 
 @dataclass(frozen=True)
@@ -85,25 +75,19 @@ def apply_substs(sig: Signature, substs: MetaSubstitution, term: Term) -> Term:
     if not substs:
         return term
 
-    def go(t: Term | None) -> Term | None:
-        match t:
-            case None:
-                return None
-            case MetaApp(name, args):
-                entry = substs.get(name)
-                if entry is None:
-                    return MetaApp(name, tuple(go(a) for a in args))
-                if entry.arity != len(args):
-                    raise ArityMismatch(
-                        f"{name} applied to {len(args)} arguments, entry has arity {entry.arity}"
-                    )
-                return go(instantiate_many(sig, args, entry.body))
-            case Op(tag, children, ann):
-                return Op(tag, tuple(go(c) for c in children), go(ann))
-            case _:
-                return t
+    def resolve(t: Term) -> Term:
+        while type(t) is MetaApp:
+            entry = substs.get(t.meta)
+            if entry is None:
+                break
+            if entry.arity != len(t.args):
+                raise ArityMismatch(
+                    f"{t.meta} applied to {len(t.args)} arguments, entry has arity {entry.arity}"
+                )
+            t = instantiate_many(sig, t.args, entry.body)
+        return t
 
-    return go(term)
+    return rebuild(term, enter=resolve)
 
 
 def extend_substs(
@@ -126,27 +110,9 @@ def extend_substs(
     return MetaSubstitution(merged)
 
 
-def single_subst(sig: Signature, name: str, abs_: MetaAbs) -> MetaSubstitution:
-    return MetaSubstitution({name: abs_})
-
-
 def metas_of(term: Term | None) -> set[str]:
     """Names of all metavariable applications occurring in the term."""
-    out: set[str] = set()
-
-    def go(t: Term | None) -> None:
-        match t:
-            case MetaApp(name, args):
-                out.add(name)
-                for a in args:
-                    go(a)
-            case Op(_, children, ann):
-                for c in children:
-                    go(c)
-                go(ann)
-
-    go(term)
-    return out
+    return {t.meta for t, _, _, _ in subterms(term) if type(t) is MetaApp}
 
 
 @dataclass

@@ -1,9 +1,23 @@
 """Composable weak-head reduction.
 
-A reducer is a table of per-operator rules.  Each rule receives the node
-(children unreduced) and a callback that reduces arbitrary whole terms of
-the full language, so rule tables for disjoint signatures can be merged and
-still recurse through each other's constructions.
+A reducer maps operator tags to rules.  A rule contracts an eliminator
+node once the child it scrutinises, its *principal* child, is in weak head
+normal form.  The rule is a callable ``rule(node, head)`` with an integer
+attribute ``principal``:
+
+- ``node`` is the eliminator as it stands, children unreduced;
+- ``head`` is the weak head normal form of ``node.children[principal]``;
+- the result is the contractum, or ``None`` when ``node`` is stuck.
+
+A wrapper around a rule must carry ``principal`` over, as
+``functools.wraps`` does.  :func:`reduce` walks the head spine itself,
+with an explicit stack: it reduces the principal child first, then calls
+the rule once, then reduces the contractum in the node's place.  A stuck
+node keeps its reduced principal child.  Rules never call back into the
+reducer; the loop reduces every contractum with the whole table, so tables
+for disjoint signatures merged by :func:`sum_reduce` still reduce through
+each other's constructions.  :class:`Rule` and the builders :func:`beta`,
+:func:`projection` and :func:`identity_elim` cover the bundled languages.
 
 Metavariable applications reduce strictly: their arguments are reduced,
 the application itself remains.
@@ -11,59 +25,51 @@ the application itself remains.
 
 from __future__ import annotations
 
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Mapping, TypeVar
+from dataclasses import dataclass
+from operator import is_
+from typing import Callable, Mapping
 
-from .terms import Bound, Free, Hole, MetaApp, Op, Term
+from .signature import Signature
+from .terms import MetaApp, Op, Term, instantiate, rebuild
 
-ReduceFn = Callable[[Term], Term]
-Rule = Callable[[Op, ReduceFn], Term]
-Reducer = Mapping[str, Rule]
+Reducer = Mapping[str, Callable[[Op, Term], "Term | None"]]
 
 DEFAULT_REDUCE_FUEL = 10_000
-
-# Long reduction chains nest one Python frame per head step, and on CPython
-# every Python-level call also consumes C stack.  Raising the recursion limit
-# alone therefore risks a hard crash on the default 8 MiB thread stack, so
-# deep work runs on a single dedicated thread with a much larger stack.
-_DEEP_THREAD_NAME = "deep-recursion"
-_DEEP_STACK_BYTES = 512 * 1024 * 1024
-_RECURSION_LIMIT = 100_000
-
-_T = TypeVar("_T")
-_worker: ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
-
-
-def _deep_worker() -> ThreadPoolExecutor:
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            old = threading.stack_size(_DEEP_STACK_BYTES)
-            try:
-                pool = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix=_DEEP_THREAD_NAME
-                )
-                # force the thread to spawn while the big stack size applies
-                pool.submit(sys.setrecursionlimit, _RECURSION_LIMIT).result()
-            finally:
-                threading.stack_size(old)
-            _worker = pool
-    return _worker
-
-
-def run_deep(fn: Callable[[], _T]) -> _T:
-    """Run ``fn`` where deep recursion is safe (re-entrant: when already on
-    the dedicated thread the call is inlined)."""
-    if threading.current_thread().name.startswith(_DEEP_THREAD_NAME):
-        return fn()
-    return _deep_worker().submit(fn).result()
 
 
 class FuelExhausted(Exception):
     """Step budget exceeded; the term most likely diverges."""
+
+
+@dataclass(frozen=True)
+class Rule:
+    """Contract ``node`` when its principal child reduces to an ``intro``
+    node; ``contract(node, head)`` builds the contractum."""
+
+    principal: int
+    intro: str
+    contract: Callable[[Op, Op], Term]
+
+    def __call__(self, node: Op, head: Term) -> Term | None:
+        if type(head) is Op and head.tag == self.intro:
+            return self.contract(node, head)
+        return None
+
+
+def beta(sig: Signature) -> Rule:
+    """``App(Lam(body), arg)`` to ``body[arg]``; the lambda body is the
+    last child of ``Lam`` (an optional domain may precede it)."""
+    return Rule(0, "Lam", lambda app, lam: instantiate(sig, lam.children[-1], app.children[1]))
+
+
+def projection(index: int) -> Rule:
+    """``First``/``Second`` of ``Pair(a, b)`` to its ``index``-th component."""
+    return Rule(0, "Pair", lambda proj, pair: pair.children[index])
+
+
+def identity_elim() -> Rule:
+    """``J(A, a, C, d, x, refl _)`` to ``d``."""
+    return Rule(5, "Refl", lambda j, refl: j.children[3])
 
 
 def empty_reduce() -> Reducer:
@@ -82,23 +88,11 @@ def sum_reduce(left: Reducer, right: Reducer) -> Reducer:
 def normal_form(term: Term, rules: Reducer, fuel: int = DEFAULT_REDUCE_FUEL) -> Term:
     """Full normal form: WHNF at every node, including under binders.
 
-    Used for display; the fuel budget applies per node.  Recursing into
-    scope children needs no index shifting because nothing moves across a
+    Used for display; the fuel budget applies per node.  Going under scope
+    children needs no index shifting because nothing moves across a
     binder.
     """
-    t = reduce(term, rules, fuel)
-    match t:
-        case MetaApp(m, args):
-            return MetaApp(m, tuple(normal_form(a, rules, fuel) for a in args))
-        case Op(tag, children, ann):
-            done = tuple(
-                None if c is None else normal_form(c, rules, fuel) for c in children
-            )
-            return Op(
-                tag, done, None if ann is None else normal_form(ann, rules, fuel)
-            )
-        case _:
-            return t
+    return rebuild(term, enter=lambda t: reduce(t, rules, fuel))
 
 
 def reduce(term: Term, rules: Reducer, fuel: int = DEFAULT_REDUCE_FUEL) -> Term:
@@ -109,22 +103,45 @@ def reduce(term: Term, rules: Reducer, fuel: int = DEFAULT_REDUCE_FUEL) -> Term:
     of fuel.
     """
     budget = fuel
-
-    def go(t: Term) -> Term:
-        nonlocal budget
-        match t:
-            case Bound() | Free() | Hole():
-                return t
-            case MetaApp(m, args):
-                return MetaApp(m, tuple(go(a) for a in args))
-            case Op(tag, _, _):
-                rule = rules.get(tag)
+    # Nodes waiting for a WHNF: (eliminator, its rule), or (metavariable
+    # application, its arguments reduced so far).
+    pending: list[tuple[Term, object]] = []
+    t = term
+    while True:
+        while True:  # down the head spine
+            if type(t) is Op:
+                rule = rules.get(t.tag)
                 if rule is None:
-                    return t
+                    break
                 budget -= 1
                 if budget < 0:
                     raise FuelExhausted(f"no WHNF within {fuel} head steps")
-                return rule(t, go)
-        raise TypeError(f"not a term: {t!r}")
-
-    return run_deep(lambda: go(term))
+                pending.append((t, rule))
+                t = t.children[rule.principal]
+            elif type(t) is MetaApp and t.args:
+                pending.append((t, []))
+                t = t.args[0]
+            else:
+                break
+        while pending:  # t is a WHNF: hand it to the innermost waiting node
+            node, waiting = pending.pop()
+            if type(waiting) is list:
+                waiting.append(t)
+                if len(waiting) < len(node.args):
+                    pending.append((node, waiting))
+                    t = node.args[len(waiting)]
+                    break
+                same = all(map(is_, waiting, node.args))
+                t = node if same else MetaApp(node.meta, tuple(waiting))
+                continue
+            contractum = waiting(node, t)
+            if contractum is not None:
+                t = contractum
+                break
+            p = waiting.principal
+            if t is not node.children[p]:
+                t = Op(node.tag, (*node.children[:p], t, *node.children[p + 1 :]), node.ann)
+            else:
+                t = node
+        else:
+            return t

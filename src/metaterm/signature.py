@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:
@@ -85,8 +86,13 @@ class Signature:
             if not any(shape.has_head):
                 raise SignatureError(f"shape {shape.tag} has no head slot")
 
-    def operator(self, tag: str) -> Operator:
-        return self.operators[tag]
+    @cached_property
+    def binder_shifts(self) -> dict[str, tuple[int, ...]]:
+        """Per operator tag, the binders each slot adds: 1 for a scope."""
+        return {
+            tag: tuple(1 if kind is SlotKind.SCOPE else 0 for kind in op.slots)
+            for tag, op in self.operators.items()
+        }
 
     def equivalent_tags(self, a: str, b: str) -> bool:
         if a == b:
@@ -179,10 +185,6 @@ def guesses_for(sig: Signature, node: "Op") -> list[tuple[str, ...]]:
     """Per-slot guess skeleton tags for the node's operator (empty if none)."""
     op = sig.operators[node.tag]
     return [sig.guess_table.get((node.tag, i), ()) for i in range(len(op.slots))]
-
-
-def shapes_of(sig: Signature) -> tuple[Shape, ...]:
-    return sig.shapes
 
 
 def head_slot_of(sig: Signature, tag: str) -> int | None:

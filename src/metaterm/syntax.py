@@ -25,7 +25,7 @@ Constraints:   ('forall' name+ '.')* term '=?=' term
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import Generator, NamedTuple
 
 from .metavar import MetaAbs
 from .signature import INF_UNIVERSE_TAG, SlotKind
@@ -71,9 +71,11 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"first", "second", "refl", "forall", "U", "J"}
 
+# Token kind of a binary type former -> (simple tag, dependent tag, name).
+_TYPE_FORMERS = {"ARROW": ("Fun", "Pi", "function type"), "*": ("PairTy", "Sigma", "pair type")}
 
-@dataclass(frozen=True)
-class _Token:
+
+class _Token(NamedTuple):
     kind: str  # ARROW, UNIFY, META, NAME, one of the punct chars, or EOF
     text: str
     line: int
@@ -106,7 +108,8 @@ def _tokenize(src: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, src: str, lang):
-        self.tokens = _tokenize(src)
+        tokens = _tokenize(src)
+        self.tokens = tokens + tokens[-1:] * 2  # peek sees up to two past EOF
         self.pos = 0
         self.lang = lang
         self.ops = lang.signature.operators
@@ -115,7 +118,7 @@ class _Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> _Token:
         tok = self.peek()
@@ -152,28 +155,21 @@ class _Parser:
             self.fail_construct("annotated lambda", tok)
         return Op("Lam", (body,))
 
-    def make_arrow(self, dom: Term, cod: Term, tok: _Token, *, scoped: bool) -> Term:
-        """Arrow / Pi; ``scoped`` means ``cod`` lives at depth+1."""
-        if "Fun" in self.ops:
+    def make_type_former(
+        self, kind: str, left: Term, right: Term, tok: _Token, *, scoped: bool
+    ) -> Term:
+        """``->`` (Fun / Pi) or ``*`` (PairTy / Sigma), by token ``kind``;
+        ``scoped`` means ``right`` lives at depth+1."""
+        simple, dependent, construct = _TYPE_FORMERS[kind]
+        if simple in self.ops:
             if scoped:
-                self.fail_construct("dependent function type", tok)
-            return Op("Fun", (dom, cod))
-        if "Pi" in self.ops:
-            if not scoped:
-                cod = weaken(self.lang.signature, cod, 1)
-            return Op("Pi", (dom, cod))
-        self.fail_construct("function type", tok)
-
-    def make_star(self, left: Term, right: Term, tok: _Token, *, scoped: bool) -> Term:
-        if "PairTy" in self.ops:
-            if scoped:
-                self.fail_construct("dependent pair type", tok)
-            return Op("PairTy", (left, right))
-        if "Sigma" in self.ops:
+                self.fail_construct(f"dependent {construct}", tok)
+            return Op(simple, (left, right))
+        if dependent in self.ops:
             if not scoped:
                 right = weaken(self.lang.signature, right, 1)
-            return Op("Sigma", (left, right))
-        self.fail_construct("pair type", tok)
+            return Op(dependent, (left, right))
+        self.fail_construct(construct, tok)
 
     def make_op(self, tag: str, children: tuple[Term, ...], construct: str, tok: _Token) -> Term:
         if tag not in self.ops:
@@ -181,32 +177,38 @@ class _Parser:
         return Op(tag, children)
 
     # -- grammar -----------------------------------------------------------
+    #
+    # Each rule is a generator run by :func:`_run`: ``(yield self.rule())``
+    # parses a sub-rule and evaluates to its result, so nesting depth in the
+    # input never nests Python calls.
 
-    def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "\\":
-            return self.lam()
+    def term(self):
+        if self.peek().kind == "\\":
+            return (yield self.lam())
         if self.at_dependent_binder():
-            return self.quantifier()
-        return self.arrow()
+            return (yield self.quantifier())
+        left = yield self.star()  # arrow ::= star ('->' arrow)?
+        if self.peek().kind != "ARROW":
+            return left
+        tok = self.next()
+        right = yield self.term()  # an arrow, or a binder reaching to the end
+        return self.make_type_former("ARROW", left, right, tok, scoped=False)
 
-    def lam(self) -> Term:
+    def lam(self):
         tok = self.expect("\\")
         annotation: Term | None = None
         if self.peek().kind == "(":
             self.next()
             name = self.expect("NAME").text
             self.expect(":")
-            annotation = self.term()
+            annotation = yield self.term()
             self.expect(")")
         else:
             name = self.expect("NAME").text
         self.expect(".")
         self.env.append(name)
-        try:
-            body = self.term()
-        finally:
-            self.env.pop()
+        body = yield self.term()
+        self.env.pop()
         return self.make_lam(annotation, body, tok)
 
     def at_dependent_binder(self) -> bool:
@@ -217,11 +219,11 @@ class _Parser:
             and self.peek(2).kind == ":"
         )
 
-    def quantifier(self) -> Term:
+    def quantifier(self):
         tok = self.expect("(")
         name = self.expect("NAME").text
         self.expect(":")
-        dom = self.term()
+        dom = yield self.term()
         self.expect(")")
         arrow = self.next()
         if arrow.kind not in ("ARROW", "*"):
@@ -231,73 +233,54 @@ class _Parser:
                 arrow.column,
             )
         self.env.append(name)
-        try:
-            body = self.term()
-        finally:
-            self.env.pop()
-        if arrow.kind == "ARROW":
-            return self.make_arrow(dom, body, tok, scoped=True)
-        return self.make_star(dom, body, tok, scoped=True)
+        body = yield self.term()
+        self.env.pop()
+        return self.make_type_former(arrow.kind, dom, body, tok, scoped=True)
 
-    def arrow(self) -> Term:
-        left = self.star()
-        if self.peek().kind == "ARROW":
-            tok = self.next()
-            right = (
-                self.term()
-                if self.peek().kind == "\\" or self.at_dependent_binder()
-                else self.arrow()
-            )
-            return self.make_arrow(left, right, tok, scoped=False)
-        return left
-
-    def star(self) -> Term:
-        left = self.eq()
+    def star(self):
+        left = yield self.eq()
         if self.peek().kind == "*":
             tok = self.next()
-            return self.make_star(left, self.star(), tok, scoped=False)
+            right = yield self.star()
+            return self.make_type_former("*", left, right, tok, scoped=False)
         return left
 
-    def eq(self) -> Term:
-        left = self.app()
+    def eq(self):
+        left = yield self.app()
         if self.peek().kind == "=":
             tok = self.next()
-            return self.make_op("IdType", (left, self.app()), "identity type", tok)
+            right = yield self.app()
+            return self.make_op("IdType", (left, right), "identity type", tok)
         return left
 
     _ATOM_STARTERS = frozenset({"NAME", "META", "(", "<", "\\"})
 
-    def app(self) -> Term:
-        result = self.prefix()
+    def app(self):
+        result = yield self.prefix()
         while self.peek().kind in self._ATOM_STARTERS:
             if self.at_dependent_binder():
                 break
             arg_tok = self.peek()
-            arg = self.lam() if arg_tok.kind == "\\" else self.prefix()
+            arg = yield (self.lam() if arg_tok.kind == "\\" else self.prefix())
             result = self.make_op("App", (result, arg), "application", arg_tok)
         return result
 
-    def prefix(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "NAME" and tok.text in ("first", "second", "refl"):
-            self.next()
-            tag = {"first": "First", "second": "Second", "refl": "Refl"}[tok.text]
-            return self.make_op(tag, (self.prefix(),), tok.text, tok)
-        return self.atom()
-
-    def atom(self) -> Term:
+    def prefix(self):
         tok = self.next()
         match tok.kind:
+            case "NAME" if tok.text in ("first", "second", "refl"):
+                arg = yield self.prefix()
+                return self.make_op(tok.text.capitalize(), (arg,), tok.text, tok)
             case "NAME" if tok.text == "U":
                 if INF_UNIVERSE_TAG in self.ops:
                     return Op(INF_UNIVERSE_TAG)
                 return self.make_op("Universe", (), "universe", tok)
             case "NAME" if tok.text == "J":
                 self.expect("(")
-                args = [self.term()]
+                args = [(yield self.term())]
                 while self.peek().kind == ",":
                     self.next()
-                    args.append(self.term())
+                    args.append((yield self.term()))
                 self.expect(")")
                 if len(args) != 6:
                     raise ParseError(
@@ -319,27 +302,27 @@ class _Parser:
                 if self.peek().kind == "[":
                     self.next()
                     if self.peek().kind != "]":
-                        args.append(self.term())
+                        args.append((yield self.term()))
                         while self.peek().kind == ",":
                             self.next()
-                            args.append(self.term())
+                            args.append((yield self.term()))
                     self.expect("]")
                 return MetaApp(name, tuple(args))
             case "(":
-                inner = self.term()
+                inner = yield self.term()
                 self.expect(")")
                 return inner
             case "<":
-                first = self.term()
+                first = yield self.term()
                 self.expect(",")
-                second = self.term()
+                second = yield self.term()
                 self.expect(">")
                 return self.make_op("Pair", (first, second), "pair", tok)
         raise ParseError(
             f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.column
         )
 
-    def constraint(self) -> Constraint:
+    def constraint(self):
         while self.peek().kind == "NAME" and self.peek().text == "forall":
             self.next()
             names = []
@@ -350,9 +333,9 @@ class _Parser:
                 raise ParseError("'forall' needs at least one name", tok.line, tok.column)
             self.expect(".")
             self.env.extend(names)
-        lhs = self.term()
+        lhs = yield self.term()
         self.expect("UNIFY")
-        rhs = self.term()
+        rhs = yield self.term()
         return Constraint(lhs, rhs, len(self.env), tuple(self.env))
 
     def finish(self) -> None:
@@ -361,16 +344,34 @@ class _Parser:
             raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
 
 
+def _run(step: Generator):
+    """Run a generator-written recursion with an explicit stack: a step
+    yields the generator of a sub-step and is resumed with its result."""
+    stack = [step]
+    value = None
+    while True:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(sub)
+            value = None
+
+
 def parse_term(src: str, lang) -> Term:
     parser = _Parser(src, lang)
-    term = parser.term()
+    term = _run(parser.term())
     parser.finish()
     return term
 
 
 def parse_constraint(src: str, lang) -> Constraint:
     parser = _Parser(src, lang)
-    c = parser.constraint()
+    c = _run(parser.constraint())
     parser.finish()
     return c
 
@@ -379,6 +380,18 @@ def parse_constraint(src: str, lang) -> Constraint:
 # Printing
 
 _LAM, _ARROW, _STAR, _EQ, _APP, _PREFIX, _ATOM = range(7)
+
+# Binary nodes printed infix: tag -> (separator, own level, left level,
+# right level).  Pi and Sigma print this way when not dependent.
+_INFIX = {
+    "Fun": (" -> ", _ARROW, _ARROW + 1, _ARROW),
+    "Pi": (" -> ", _ARROW, _ARROW + 1, _ARROW),
+    "PairTy": (" * ", _STAR, _STAR + 1, _STAR),
+    "Sigma": (" * ", _STAR, _STAR + 1, _STAR),
+    "IdType": (" = ", _EQ, _APP, _APP),
+    "App": (" ", _APP, _APP, _ATOM),
+}
+_BRACKETS = {"Pair": ("<", ">"), "J": ("J(", ")")}
 
 _NAME_POOL = ("x", "y", "z", "u", "v", "w")
 
@@ -411,62 +424,54 @@ def print_term(
     def fresh(env: list[str]) -> str:
         return _fresh_name(avoid | set(env))
 
-    def go(t: Term, env: list[str], level: int) -> str:
-        text, own = render(t, env)
-        return f"({text})" if own < level else text
-
-    def render(t: Term, env: list[str]) -> tuple[str, int]:
+    def show(t: Term, env: list[str], level: int):
+        """Text of ``t`` under the binder names ``env``, parenthesised when
+        its own level binds looser than ``level``; a step of :func:`_run`."""
         match t:
             case Bound(k):
-                if k < len(env):
-                    return env[len(env) - 1 - k], _ATOM
-                return f"#{k}", _ATOM  # not closed under the given names
+                # ``#k``: not closed under the given names
+                text, own = (env[len(env) - 1 - k] if k < len(env) else f"#{k}"), _ATOM
             case Free(name):
-                return name, _ATOM
+                text, own = name, _ATOM
             case Hole(i):
-                return hole_names[i], _ATOM
-            case MetaApp(name, args):
-                inner = ", ".join(go(a, env, _LAM) for a in args)
-                return f"?{name}[{inner}]", _ATOM
+                text, own = hole_names[i], _ATOM
+            case MetaApp() | Op("Pair" | "J"):
+                shown = []
+                for c in t.args if type(t) is MetaApp else t.children:
+                    shown.append((yield show(c, env, _LAM)))
+                opener, closer = (f"?{t.meta}[", "]") if type(t) is MetaApp else _BRACKETS[t.tag]
+                text, own = f"{opener}{', '.join(shown)}{closer}", _ATOM
             case Op("Lam", children, _):
                 x = fresh(env)
-                body = go(children[-1], env + [x], _LAM)
+                body = yield show(children[-1], env + [x], _LAM)
                 if len(children) == 2 and children[0] is not None:
-                    return f"\\({x} : {go(children[0], env, _LAM)}). {body}", _LAM
-                return f"\\{x}. {body}", _LAM
-            case Op("Fun", (dom, cod), _):
-                return f"{go(dom, env, _ARROW + 1)} -> {go(cod, env, _ARROW)}", _ARROW
-            case Op("Pi" | "Sigma" as tag, (dom, cod), _):
-                symbol = "->" if tag == "Pi" else "*"
-                if mentions_bound(sig, cod, 0):
-                    x = fresh(env)
-                    return (
-                        f"({x} : {go(dom, env, _LAM)}) {symbol} {go(cod, env + [x], _LAM)}",
-                        _LAM,
-                    )
-                cod = strengthen(sig, cod)
-                if tag == "Pi":
-                    return f"{go(dom, env, _ARROW + 1)} -> {go(cod, env, _ARROW)}", _ARROW
-                return f"{go(dom, env, _STAR + 1)} * {go(cod, env, _STAR)}", _STAR
-            case Op("PairTy", (left, right), _):
-                return f"{go(left, env, _STAR + 1)} * {go(right, env, _STAR)}", _STAR
-            case Op("IdType", (left, right), _):
-                return f"{go(left, env, _APP)} = {go(right, env, _APP)}", _EQ
-            case Op("App", (fun, arg), _):
-                return f"{go(fun, env, _APP)} {go(arg, env, _ATOM)}", _APP
-            case Op("Pair", (left, right), _):
-                return f"<{go(left, env, _LAM)}, {go(right, env, _LAM)}>", _ATOM
+                    dom = yield show(children[0], env, _LAM)
+                    text = f"\\({x} : {dom}). {body}"
+                else:
+                    text = f"\\{x}. {body}"
+                own = _LAM
+            case Op("Pi" | "Sigma" as tag, (dom, cod), _) if mentions_bound(sig, cod, 0):
+                x = fresh(env)
+                dom_text = yield show(dom, env, _LAM)
+                cod_text = yield show(cod, env + [x], _LAM)
+                text, own = f"({x} : {dom_text}){_INFIX[tag][0]}{cod_text}", _LAM
+            case Op(tag, (left, right), _) if tag in _INFIX:
+                separator, own, left_level, right_level = _INFIX[tag]
+                if tag in ("Pi", "Sigma"):
+                    right = strengthen(sig, right)
+                left_text = yield show(left, env, left_level)
+                right_text = yield show(right, env, right_level)
+                text = f"{left_text}{separator}{right_text}"
             case Op("First" | "Second" | "Refl" as tag, (arg,), _):
-                word = {"First": "first", "Second": "second", "Refl": "refl"}[tag]
-                return f"{word} {go(arg, env, _PREFIX)}", _PREFIX
+                arg_text = yield show(arg, env, _PREFIX)
+                text, own = f"{tag.lower()} {arg_text}", _PREFIX
             case Op("Universe" | "UInf", (), _):
-                return "U", _ATOM
-            case Op("J", children, _):
-                inner = ", ".join(go(c, env, _LAM) for c in children)
-                return f"J({inner})", _ATOM
-        raise ValueError(f"cannot print {t!r}")
+                text, own = "U", _ATOM
+            case _:
+                raise ValueError(f"cannot print {t!r}")
+        return f"({text})" if own < level else text
 
-    return go(term, list(binder_names), _LAM)
+    return _run(show(term, list(binder_names), _LAM))
 
 
 def print_constraint(lang, c: Constraint) -> str:

@@ -9,7 +9,8 @@ abstraction bodies and are only legal there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from operator import is_
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .signature import Signature, SlotKind
 
@@ -64,23 +65,101 @@ class MissingAssignment(Exception):
     """A hole index has no assigned argument (metavariable arity breach)."""
 
 
-def map_op_children(
-    sig: Signature, node: Op, f: Callable[[Term, int], Term]
-) -> Op:
-    """Rebuild ``node`` applying ``f(child, depth_increment)`` to every child.
+# Every operation below is one of two walks, each driven by an explicit
+# stack, so term depth never meets Python's recursion limit.  Both track
+# binder depth the same way: a child sits at its node's depth plus one per
+# scope slot (``Signature.binder_shifts``); without a signature the depth
+# stays fixed.  Both visit in pre-order: a node before its children,
+# children left to right, the annotation last.
 
-    Scope-slot children get increment 1, plain children and the annotation
-    get 0.  ``None`` children (absent optional slots) are preserved.
+
+def subterms(
+    term: Term, sig: Signature | None = None, depth: int = 0
+) -> Iterator[tuple[Term, int, Term | None, int]]:
+    """Every subterm as ``(node, depth, parent, slot)``, in pre-order.
+
+    ``slot`` is the node's position in ``parent`` (the annotation is slot
+    ``len(children)``); the root has parent ``None``.  Absent optional
+    children are skipped.  A node's children are looked at only when the
+    next item is requested, so a consumer may stop at a malformed node.
     """
-    op = sig.operators[node.tag]
-    children = []
-    for kind, child in zip(op.slots, node.children):
-        if child is None:
-            children.append(None)
+    shifts = None if sig is None else sig.binder_shifts
+    todo = [(term, depth, None, 0)]
+    pop, push = todo.pop, todo.append
+    while todo:
+        item = pop()
+        yield item
+        t, d = item[0], item[1]
+        if type(t) is Op:
+            kids = t.children
+            if t.ann is not None:
+                push((t.ann, d, t, len(kids)))
+            inc = None if shifts is None else shifts[t.tag]
+            for i in range(len(kids) - 1, -1, -1):
+                if kids[i] is not None:
+                    push((kids[i], d if inc is None else d + inc[i], t, i))
+        elif type(t) is MetaApp:
+            args = t.args
+            for i in range(len(args) - 1, -1, -1):
+                push((args[i], d, t, i))
+
+
+def rebuild(
+    term: Term,
+    var: Callable[[Term, int], Term] | None = None,
+    *,
+    sig: Signature | None = None,
+    depth: int = 0,
+    enter: Callable[[Term], Term] | None = None,
+    post: Callable[[Op], Term] | None = None,
+) -> Term:
+    """Map over a term, sharing every subterm that comes back unchanged.
+
+    ``var(t, d)`` replaces each variable (``Bound``/``Free``/``Hole``) found
+    at binder depth ``d``; the replacement is final.  ``enter(t)`` replaces
+    each operator node and metavariable application before its children
+    are visited; the replacement's children are visited in its place.
+    ``post(node)`` rewrites each operator node once its children are
+    rebuilt.  Hooks run in the pre-order of :func:`subterms`.
+    """
+    shifts = None if sig is None else sig.binder_shifts
+    todo: list = [(term, depth)]  # (term, depth) to visit, or a node to assemble
+    done: list = []  # rebuilt parts, in visiting order
+    pop, push, emit = todo.pop, todo.append, done.append
+    while todo:
+        item = pop()
+        if type(item) is not tuple:
+            t = item
+            n = len(t.args) if type(t) is MetaApp else len(t.children)
+            ann = done.pop() if type(t) is Op and t.ann is not None else None
+            parts = done[len(done) - n :]
+            del done[len(done) - n :]
+            if type(t) is MetaApp:
+                same = all(map(is_, parts, t.args))
+                emit(t if same else MetaApp(t.meta, tuple(parts)))
+                continue
+            if ann is not t.ann or not all(map(is_, parts, t.children)):
+                t = Op(t.tag, tuple(parts), ann)
+            emit(t if post is None else post(t))
+            continue
+        t, d = item
+        if enter is not None and (type(t) is Op or type(t) is MetaApp):
+            t = enter(t)
+        if type(t) is Op:
+            push(t)
+            kids = t.children
+            if t.ann is not None:
+                push((t.ann, d))
+            inc = None if shifts is None else shifts[t.tag]
+            for i in range(len(kids) - 1, -1, -1):
+                push((kids[i], d if inc is None else d + inc[i]))
+        elif type(t) is MetaApp and t.args:
+            push(t)
+            for a in reversed(t.args):
+                push((a, d))
         else:
-            children.append(f(child, 1 if kind is SlotKind.SCOPE else 0))
-    ann = f(node.ann, 0) if node.ann is not None else None
-    return Op(node.tag, tuple(children), ann)
+            emit(t if var is None or t is None else var(t, d))
+    return done[0]
 
 
 def weaken(sig: Signature, term: Term, by: int, at: int = 0) -> Term:
@@ -88,19 +167,10 @@ def weaken(sig: Signature, term: Term, by: int, at: int = 0) -> Term:
     if by == 0:
         return term
 
-    def go(t: Term, cutoff: int) -> Term:
-        match t:
-            case Bound(k):
-                return Bound(k + by) if k >= cutoff else t
-            case Free() | Hole():
-                return t
-            case MetaApp(m, args):
-                return MetaApp(m, tuple(go(a, cutoff) for a in args))
-            case Op():
-                return map_op_children(sig, t, lambda c, inc: go(c, cutoff + inc))
-        raise TypeError(f"not a term: {t!r}")
+    def var(t: Term, d: int) -> Term:
+        return Bound(t.index + by) if type(t) is Bound and t.index >= d else t
 
-    return go(term, at)
+    return rebuild(term, var, sig=sig, depth=at)
 
 
 def instantiate(sig: Signature, body: Term, arg: Term) -> Term:
@@ -110,21 +180,15 @@ def instantiate(sig: Signature, body: Term, arg: Term) -> Term:
     variables are untouched; remaining bound indices shift down by one.
     """
 
-    def go(t: Term, depth: int) -> Term:
-        match t:
-            case Bound(k):
-                if k == depth:
-                    return weaken(sig, arg, depth)
-                return Bound(k - 1) if k > depth else t
-            case Free() | Hole():
-                return t
-            case MetaApp(m, args):
-                return MetaApp(m, tuple(go(a, depth) for a in args))
-            case Op():
-                return map_op_children(sig, t, lambda c, inc: go(c, depth + inc))
-        raise TypeError(f"not a term: {t!r}")
+    def var(t: Term, d: int) -> Term:
+        if type(t) is Bound:
+            if t.index == d:
+                return weaken(sig, arg, d)
+            if t.index > d:
+                return Bound(t.index - 1)
+        return t
 
-    return go(body, 0)
+    return rebuild(body, var, sig=sig)
 
 
 def instantiate_many(sig: Signature, assign: Sequence[Term], body: Term) -> Term:
@@ -134,23 +198,16 @@ def instantiate_many(sig: Signature, assign: Sequence[Term], body: Term) -> Term
     free variables are untouched.
     """
 
-    def go(t: Term, depth: int) -> Term:
-        match t:
-            case Hole(i):
-                if i >= len(assign):
-                    raise MissingAssignment(
-                        f"hole {i} exceeds the {len(assign)} supplied arguments"
-                    )
-                return weaken(sig, assign[i], depth)
-            case Bound() | Free():
-                return t
-            case MetaApp(m, args):
-                return MetaApp(m, tuple(go(a, depth) for a in args))
-            case Op():
-                return map_op_children(sig, t, lambda c, inc: go(c, depth + inc))
-        raise TypeError(f"not a term: {t!r}")
+    def var(t: Term, d: int) -> Term:
+        if type(t) is not Hole:
+            return t
+        if t.index >= len(assign):
+            raise MissingAssignment(
+                f"hole {t.index} exceeds the {len(assign)} supplied arguments"
+            )
+        return weaken(sig, assign[t.index], d)
 
-    return go(body, 0)
+    return rebuild(body, var, sig=sig)
 
 
 def substitute_free(sig: Signature, env: Mapping[str, Term], term: Term) -> Term:
@@ -162,20 +219,11 @@ def substitute_free(sig: Signature, env: Mapping[str, Term], term: Term) -> Term
     if not env:
         return term
 
-    def go(t: Term, depth: int) -> Term:
-        match t:
-            case Free(name):
-                image = env.get(name)
-                return t if image is None else weaken(sig, image, depth)
-            case Bound() | Hole():
-                return t
-            case MetaApp(m, args):
-                return MetaApp(m, tuple(go(a, depth) for a in args))
-            case Op():
-                return map_op_children(sig, t, lambda c, inc: go(c, depth + inc))
-        raise TypeError(f"not a term: {t!r}")
+    def var(t: Term, d: int) -> Term:
+        image = env.get(t.name) if type(t) is Free else None
+        return t if image is None else weaken(sig, image, d)
 
-    return go(term, 0)
+    return rebuild(term, var, sig=sig)
 
 
 def trans(phi: Callable[[Op], Op], term: Term) -> Term:
@@ -185,18 +233,7 @@ def trans(phi: Callable[[Op], Op], term: Term) -> Term:
     variables and metavariable applications pass through unchanged (their
     arguments are rewritten).
     """
-
-    def go(t: Term | None) -> Term | None:
-        match t:
-            case None | Bound() | Free() | Hole():
-                return t
-            case MetaApp(m, args):
-                return MetaApp(m, tuple(go(a) for a in args))
-            case Op(tag, children, ann):
-                return phi(Op(tag, tuple(go(c) for c in children), go(ann)))
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(term)
+    return rebuild(term, post=phi)
 
 
 def well_scoped(
@@ -209,72 +246,39 @@ def well_scoped(
 ) -> bool:
     """Check de Bruijn bounds, operator arity/slot conformance, hole usage."""
 
-    def go(t: Term, d: int) -> bool:
+    def ok(t: Term, d: int) -> bool:
         match t:
             case Bound(k):
                 return 0 <= k < d
-            case Free():
+            case Free() | MetaApp():
                 return True
             case Hole(i):
                 return allow_holes and i >= 0 and (max_hole is None or i < max_hole)
-            case MetaApp(_, args):
-                return all(go(a, d) for a in args)
-            case Op(tag, children, ann):
+            case Op(tag, children):
                 op = sig.operators.get(tag)
-                if op is None or len(children) != len(op.slots):
-                    return False
-                for kind, child in zip(op.slots, children):
-                    if child is None:
-                        if kind is not SlotKind.OPT_TERM:
-                            return False
-                    elif not go(child, d + (1 if kind is SlotKind.SCOPE else 0)):
-                        return False
-                return ann is None or go(ann, d)
+                return (
+                    op is not None
+                    and len(children) == len(op.slots)
+                    and all(
+                        c is not None or kind is SlotKind.OPT_TERM
+                        for kind, c in zip(op.slots, children)
+                    )
+                )
         return False
 
-    return go(term, depth)
+    return all(ok(t, d) for t, d, _, _ in subterms(term, sig, depth))
 
 
 def free_names(term: Term) -> set[str]:
     """All free variable names occurring anywhere in the term."""
-    names: set[str] = set()
-
-    def go(t: Term | None) -> None:
-        match t:
-            case Free(name):
-                names.add(name)
-            case MetaApp(_, args):
-                for a in args:
-                    go(a)
-            case Op(_, children, ann):
-                for c in children:
-                    go(c)
-                go(ann)
-
-    go(term)
-    return names
+    return {t.name for t, _, _, _ in subterms(term) if type(t) is Free}
 
 
 def mentions_bound(sig: Signature, term: Term, index: int) -> bool:
     """Does ``Bound(index)`` (adjusted under inner binders) occur in the term?"""
-
-    def go(t: Term | None, k: int) -> bool:
-        match t:
-            case Bound(j):
-                return j == k
-            case MetaApp(_, args):
-                return any(go(a, k) for a in args)
-            case Op(tag, children, ann):
-                op = sig.operators[tag]
-                for kind, child in zip(op.slots, children):
-                    if child is not None and go(
-                        child, k + (1 if kind is SlotKind.SCOPE else 0)
-                    ):
-                        return True
-                return ann is not None and go(ann, k)
-        return False
-
-    return go(term, index)
+    return any(
+        type(t) is Bound and t.index == d for t, d, _, _ in subterms(term, sig, index)
+    )
 
 
 def strengthen(sig: Signature, term: Term, at: int = 0) -> Term:
@@ -283,18 +287,11 @@ def strengthen(sig: Signature, term: Term, at: int = 0) -> Term:
     The caller must have checked that ``Bound(at)`` does not occur.
     """
 
-    def go(t: Term, cutoff: int) -> Term:
-        match t:
-            case Bound(k):
-                if k == cutoff:
-                    raise ValueError(f"Bound({cutoff}) occurs; cannot strengthen")
-                return Bound(k - 1) if k > cutoff else t
-            case Free() | Hole():
-                return t
-            case MetaApp(m, args):
-                return MetaApp(m, tuple(go(a, cutoff) for a in args))
-            case Op():
-                return map_op_children(sig, t, lambda c, inc: go(c, cutoff + inc))
-        raise TypeError(f"not a term: {t!r}")
+    def var(t: Term, d: int) -> Term:
+        if type(t) is Bound and t.index >= d:
+            if t.index == d:
+                raise ValueError(f"Bound({d}) occurs; cannot strengthen")
+            return Bound(t.index - 1)
+        return t
 
-    return go(term, at)
+    return rebuild(term, var, sig=sig, depth=at)

@@ -61,10 +61,6 @@ class DependencyEscape(TypeCheckError):
         super().__init__(f"inferred type depends on its bound variable: {offending}")
 
 
-class ArityMismatch(TypeCheckError):
-    """Operator node with the wrong number of children."""
-
-
 class FuelExhausted(TypeCheckError):
     """Type-level unification or reduction ran out of fuel."""
 
@@ -89,18 +85,6 @@ class TypeInfo:
     substs: MetaSubstitution = field(default_factory=MetaSubstitution)
     constraints: list[Constraint] = field(default_factory=list)
     fresh: FreshSupply = field(default_factory=lambda: FreshSupply(prefix="t"))
-
-    def copy(self) -> "TypeInfo":
-        """Snapshot for branch isolation (the fresh supply stays shared so
-        abandoned branches cannot reuse names)."""
-        return TypeInfo(
-            dict(self.free_var_types),
-            list(self.bound_var_types),
-            dict(self.meta_var_types),
-            self.substs,
-            list(self.constraints),
-            self.fresh,
-        )
 
 
 class TypeChecker:
@@ -177,7 +161,7 @@ class TypeChecker:
                 if op is None:
                     raise TypeCheckError(f"unknown operator {tag!r}")
                 if len(children) != len(op.slots):
-                    raise ArityMismatch(
+                    raise TypeCheckError(
                         f"{tag} has {len(children)} children, expected {len(op.slots)}"
                     )
                 rule = self.lang.infer_rules.get(tag)
@@ -218,11 +202,6 @@ class TypeChecker:
                 raise TypeCheckError(f"no type for {typed!r}")
         return self.clarify_term(result)
 
-    def type_of_scope(self, binder_type: Term, body: Term) -> Term:
-        """Type of a scope body, well-scoped at depth+1."""
-        with self.in_scope(binder_type):
-            return self.type_of(body)
-
     def non_dep(self, scoped_type: Term) -> Term:
         """Strengthen a scoped type to current depth; the type must not
         mention the bound variable (conservatively: no occurrence at all,
@@ -262,10 +241,6 @@ class TypeChecker:
             )
         except ReductionFuelExhausted as exc:
             raise FuelExhausted(str(exc)) from exc
-
-    def elaborate(self, plain: Term) -> Term:
-        """Annotate a type built out of plain (possibly erased) pieces."""
-        return self.infer(plain)
 
     def clarify_term(self, term: Term) -> Term:
         return apply_substs(self.lang.typed_signature, self.ctx.substs, term)

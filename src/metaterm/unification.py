@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .metavar import (
     ConflictingEntry,
@@ -25,9 +25,9 @@ from .metavar import (
     extend_substs,
     metas_of,
 )
-from .reduction import FuelExhausted, reduce, run_deep
+from .reduction import FuelExhausted, reduce
 from .signature import Shape, Signature, SlotKind, head_slot_of, zip_match
-from .terms import Bound, Free, Hole, MetaApp, Op, Term
+from .terms import Bound, Hole, MetaApp, Op, Term, rebuild, subterms
 
 
 class UnificationFailed(Exception):
@@ -38,8 +38,11 @@ class Clash(UnificationFailed):
     """Two rigid heads that cannot match."""
 
     def __init__(self, constraint: "Constraint"):
+        super().__init__(constraint)
         self.constraint = constraint
-        super().__init__(f"rigid heads clash in {constraint}")
+
+    def __str__(self) -> str:  # on demand: the search raises many, shows few
+        return f"rigid heads clash in {self.constraint}"
 
 
 class Undetermined(Exception):
@@ -121,13 +124,34 @@ def head_of(sig: Signature, term: Term) -> Term:
     return term
 
 
-def fresh_meta_app(supply: FreshSupply, bound_in_scope: Sequence[Term] = ()) -> MetaApp:
-    """A fresh metavariable applied to the given argument terms."""
-    return MetaApp(supply.fresh(), tuple(bound_in_scope))
-
-
 # ---------------------------------------------------------------------------
 # Simplification
+
+
+def _skeleton(
+    sig: Signature,
+    tag: str,
+    arity: int,
+    supply: FreshSupply,
+    has_head: tuple[bool, ...] = (),
+    head: Term | None = None,
+) -> MetaAbs:
+    """One ``tag`` node over ``arity`` holes: ``head`` in the slots marked
+    by ``has_head``, a fresh metavariable application in every other slot
+    (with the slot's binder as an extra first argument in scope slots)."""
+    holes = tuple(Hole(i) for i in range(arity))
+    children: list[Term | None] = []
+    for i, kind in enumerate(sig.operators[tag].slots):
+        if i < len(has_head) and has_head[i]:
+            children.append(head)
+        elif kind is SlotKind.OPT_TERM:
+            children.append(None)
+        elif kind is SlotKind.SCOPE:
+            children.append(MetaApp(supply.fresh(), (Bound(0), *holes)))
+        else:
+            children.append(MetaApp(supply.fresh(), holes))
+    ann = MetaApp(supply.fresh(), holes) if sig.typed else None
+    return MetaAbs(arity, Op(tag, tuple(children), ann))
 
 
 def _collect_guesses(
@@ -135,38 +159,11 @@ def _collect_guesses(
 ) -> None:
     """Record a guess substitution for every applied metavariable sitting in
     a slot that has guess-table entries."""
-
-    def skeleton(guess_tag: str, arity: int) -> MetaAbs:
-        holes = tuple(Hole(i) for i in range(arity))
-        children: list[Term | None] = []
-        for kind in sig.operators[guess_tag].slots:
-            if kind is SlotKind.OPT_TERM:
-                children.append(None)
-            elif kind is SlotKind.SCOPE:
-                children.append(MetaApp(supply.fresh(), (Bound(0), *holes)))
-            else:
-                children.append(MetaApp(supply.fresh(), holes))
-        ann = MetaApp(supply.fresh(), holes) if sig.typed else None
-        return MetaAbs(arity, Op(guess_tag, tuple(children), ann))
-
-    def go(t: Term | None) -> None:
-        match t:
-            case MetaApp(_, args):
-                for a in args:
-                    go(a)
-            case Op(tag, children, ann):
-                for i, child in enumerate(children):
-                    if (
-                        isinstance(child, MetaApp)
-                        and child.meta not in out
-                        and sig.guess_table.get((tag, i))
-                    ):
-                        guess_tag = sig.guess_table[(tag, i)][0]
-                        out[child.meta] = skeleton(guess_tag, len(child.args))
-                    go(child)
-                go(ann)
-
-    go(term)
+    for t, _, parent, slot in subterms(term):
+        if type(t) is MetaApp and t.meta not in out and type(parent) is Op:
+            guesses = sig.guess_table.get((parent.tag, slot))
+            if guesses:
+                out[t.meta] = _skeleton(sig, guesses[0], len(t.args), supply)
 
 
 def simplify_all(
@@ -239,15 +236,8 @@ def simplify(
     supply: FreshSupply | None = None,
 ) -> tuple[list[Constraint], MetaSubstitution]:
     """Simplify a single constraint (convenience wrapper)."""
-    supply = supply or _supply_for(constraint.lhs, constraint.rhs)
+    supply = supply or FreshSupply.avoiding(metas_of(constraint.lhs) | metas_of(constraint.rhs))
     return simplify_all(lang, [constraint], substs, cfg, supply)
-
-
-def _supply_for(*terms: Term) -> FreshSupply:
-    names: set[str] = set()
-    for t in terms:
-        names |= metas_of(t)
-    return FreshSupply.avoiding(names)
 
 
 # ---------------------------------------------------------------------------
@@ -273,52 +263,18 @@ def _imitation(
         return None
     replacements: dict[int, MetaApp] = {}
 
-    def go(t: Term | None, depth: int) -> Term | None:
-        match t:
-            case None:
-                return None
-            case Bound(k):
-                if k < depth:
-                    return t
-                forall_index = k - depth
-                if forall_index not in replacements:
-                    replacements[forall_index] = MetaApp(supply.fresh(), holes)
-                return replacements[forall_index]
-            case Free() | Hole():
-                return t
-            case MetaApp(m, args):
-                return MetaApp(m, tuple(go(a, depth) for a in args))
-            case Op() as node:
-                op = sig.operators[node.tag]
-                children = tuple(
-                    go(child, depth + (1 if kind is SlotKind.SCOPE else 0))
-                    for kind, child in zip(op.slots, node.children)
-                )
-                return Op(node.tag, children, go(node.ann, depth))
-        raise TypeError(f"not a term: {t!r}")
+    def var(t: Term, d: int) -> Term:
+        if type(t) is not Bound or t.index < d:
+            return t
+        forall_index = t.index - d
+        if forall_index not in replacements:
+            replacements[forall_index] = MetaApp(supply.fresh(), holes)
+        return replacements[forall_index]
 
-    body = go(head, 0)
+    body = rebuild(head, var, sig=sig)
     if flex.meta in metas_of(body):
         return None
     return MetaAbs(n, body)
-
-
-def _shape_skeleton(
-    sig: Signature, shape: Shape, inner: MetaAbs, arity: int, supply: FreshSupply
-) -> MetaAbs:
-    holes = tuple(Hole(i) for i in range(arity))
-    children: list[Term | None] = []
-    for kind, has_head in zip(sig.operators[shape.tag].slots, shape.has_head):
-        if has_head:
-            children.append(inner.body)
-        elif kind is SlotKind.OPT_TERM:
-            children.append(None)
-        elif kind is SlotKind.SCOPE:
-            children.append(MetaApp(supply.fresh(), (Bound(0), *holes)))
-        else:
-            children.append(MetaApp(supply.fresh(), holes))
-    ann = MetaApp(supply.fresh(), holes) if sig.typed else None
-    return MetaAbs(arity, Op(shape.tag, tuple(children), ann))
 
 
 def candidates(
@@ -338,32 +294,28 @@ def candidates(
     n = len(flex.args)
 
     projections = [MetaAbs(n, Hole(j)) for j in range(n)]
+
+    def shaped(shape: Shape, inner: MetaAbs) -> MetaAbs:
+        return _skeleton(sig, shape.tag, n, supply, shape.has_head, inner.body)
+
     yield from projections
 
     for shape in sig.shapes:
         for inner in projections:
-            yield _shape_skeleton(sig, shape, inner, n, supply)
+            yield shaped(shape, inner)
 
     imitation = _imitation(sig, c, supply)
     level: list[MetaAbs] = list(projections)
     if imitation is not None:
         yield imitation
         for shape in sig.shapes:
-            yield _shape_skeleton(sig, shape, imitation, n, supply)
+            yield shaped(shape, imitation)
         level.append(imitation)
 
-    level = [
-        _shape_skeleton(sig, shape, inner, n, supply)
-        for shape in sig.shapes
-        for inner in level
-    ]
-    for _ in range(cfg.shape_depth - 1):
-        level = [
-            _shape_skeleton(sig, shape, inner, n, supply)
-            for shape in sig.shapes
-            for inner in level
-        ]
-        yield from level
+    for depth in range(cfg.shape_depth):
+        level = [shaped(shape, inner) for shape in sig.shapes for inner in level]
+        if depth:
+            yield from level
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +361,7 @@ def unify(
             names |= metas_of(c.lhs) | metas_of(c.rhs)
         supply = FreshSupply.avoiding(names)
 
-    # Diverging searches build deeply nested substitution bodies before the
-    # fuel runs out; run the search where term traversals can follow them.
-    return run_deep(lambda: _search(lang, substs, constraints, cfg, supply))
+    return _search(lang, substs, constraints, cfg, supply)
 
 
 def _search(

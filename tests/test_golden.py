@@ -1,0 +1,57 @@
+"""Golden CLI outputs whose text depends on traversal order.
+
+Fresh metavariable names (from guesses and imitation), the order in which
+solved metavariables are listed, inferred ``?t…`` names and printed
+flex-flex residuals all follow the order in which term walks visit nodes:
+pre-order, children left to right, annotation last.  Each case is replayed
+in-process and must match stdout, stderr and the exit code byte for byte.
+"""
+
+from __future__ import annotations
+
+import io
+import sys
+
+import pytest
+
+from metaterm.cli import main
+
+GOLDEN = [
+    (['unify', '-'], '?m[] a =?= b\n', 0, '?m[] := \\x. b\n', ''),
+    (['unify', '-'], '?f[] ?x[] =?= ?g[] ?y[]\n', 0, '?f[] := \\x. ?m1[x]\n?g[] := \\x. ?m2[x]\n?m1[?x[]] =?= ?m2[?y[]]\n', ''),
+    (['--lang', 'stlc', 'unify', '-'], '?f[] (?g[] a) =?= b\n', 0, '?f[] := \\x. x\n?g[] := \\x. b\n', ''),
+    (['--lang', 'stlc', 'unify', '-'], 'first ?p[] =?= a\n', 0, '?p[] := <a, ?m2[]>\n', ''),
+    (['--lang', 'stlc', 'unify', '-'], 'forall x. first (?p[x]) =?= second x\n', 0, '?p[x1] := <second x1, ?m2[x1]>\n', ''),
+    (['--lang', 'mltt', 'unify', '-'], 'J(A, a, C, ?d[] x, x, ?p[]) =?= d\n', 0, '?d[] := \\x. d\n?p[] := refl ?m2[]\n', ''),
+    (['unify', '-'], 'forall x. ?m[x] =?= f x (g x)\n', 0, '?m[x1] := f x1 (g x1)\n', ''),
+    (['unify', '-'], 'forall x y. ?m[x, y] =?= \\z. y (x z) z\n', 0, '?m[x1, x2] := \\x. (\\y. \\z. y) ((\\y. x2 (x1 y) y) x) x\n', ''),
+    (['unify', '-'], 'forall x y. ?m[x] =?= f y x y\n', 1, '', 'no solution: rigid heads clash in forall x y. x ?m10[x] ?m11[x] ?m12[x] =?= y\n'),
+    (['unify', '-'], 'forall x. ?m[x] =?= \\y. g (h y x) y\n', 0, '?m[x1] := \\x. g (h x x1) x\n', ''),
+    (['unify', '-'], '?a[?b[]] =?= f ?c[] ?d[]\n?e[] =?= ?c[]\n', 0, '?a[x1] := x1\n?b[] := f ?m2[] ?m3[]\n?e[] =?= ?c[]\n?m3[] =?= ?d[]\n?m2[] =?= ?c[]\n', ''),
+    (['unify', '-'], 'forall x y. ?m[x] =?= ?n[y]\n', 0, 'forall x y. ?m[x] =?= ?n[y]\n', ''),
+    (['unify', '-'], '?q[?r[a], ?s[]] =?= ?t[?u[]]\n?s[] =?= c\n?r[b] =?= b\n', 0, '?r[x1] := x1\n?s[] := c\n?q[a, c] =?= ?t[?u[]]\n', ''),
+    (['--fuel', '5', 'unify', '-'], '?m[] =?= f ?m[]\n', 2, '', 'undetermined: candidate budget (5) exhausted\n'),
+    (['infer', '\\x. x'], None, 64, '', "language 'ulc' has no type system\n"),
+    (['--lang', 'stlc', 'infer', '\\f. \\x. f (f x)'], None, 0, '(?t2[] -> ?t3[]) -> ?t2[] -> ?t3[]\n', ''),
+    (['--lang', 'stlc', 'infer', '\\p. <second p, first p>'], None, 0, '?t2[] * ?t3[] -> ?t3[] * ?t2[]\n', ''),
+    (['--lang', 'stlc', 'infer', '\\f. \\g. \\x. g (f x) (f x)'], None, 0, '(?t3[] -> ?t4[]) -> (?t4[] -> ?t4[] -> ?t6[]) -> ?t3[] -> ?t6[]\n', ''),
+    (['--lang', 'stlc', 'infer', '\\x. ?m[x] (first x)'], None, 0, '?t3[] * ?t4[] -> ?t5[]\n', ''),
+    (['--lang', 'stlc', '--output', 'ast', 'infer', '\\x. x'], None, 0, "Op(tag='Fun', children=(MetaApp(meta='t1', args=()), MetaApp(meta='t1', args=())), ann=None)\n", ''),
+    (['--lang', 'stlc', 'check', '\\x. x', ':', '?t[] -> ?u[]'], None, 0, '?t3[] -> ?t3[]\n', ''),
+    (['--lang', 'mltt', 'infer', '\\f. \\x. f (f x)'], None, 0, '(x : ?t2[?t4[]] -> ?t3[?t4[], ?t5[]]) -> ?t2[x] -> ?t3[?t4[], ?t5[]]\n', ''),
+    (['--lang', 'mltt', 'infer', '\\p. <second p, first p>'], None, 0, '(x : ?t2[?t4[]] * ?t3[?t4[]]) -> ?t3[x] * ?t2[?t4[]]\n', ''),
+    (['--lang', 'mltt', 'infer', '\\A. \\x. refl x'], None, 0, '(x : ?t1[]) -> (y : ?t2[x]) -> y = y\n', ''),
+    (['--lang', 'mltt', 'infer', 'J(A, a, C, d, x, p)'], None, 0, 'C x p\n', ''),
+    (['--lang', 'mltt', 'infer', '\\x. ?m[x]'], None, 0, '?t1[] -> ?t2[]\n', ''),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, out, err", GOLDEN, ids=[" ".join(case[0]) for case in GOLDEN]
+)
+def test_cli_output_is_unchanged(argv, stdin, code, out, err, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == err

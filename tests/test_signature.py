@@ -26,8 +26,8 @@ mltt = LANGUAGES["mltt"]
 
 def test_make_signature_and_lookup():
     sig = make_signature("demo", [("F", [SlotKind.TERM]), ("C", [])])
-    assert sig.operator("F").slots == (SlotKind.TERM,)
-    assert sig.operator("C").slots == ()
+    assert sig.operators["F"].slots == (SlotKind.TERM,)
+    assert sig.operators["C"].slots == ()
 
 
 def test_guess_table_validation():
