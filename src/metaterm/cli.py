@@ -13,7 +13,15 @@ from typing import Iterable
 from .languages import LANGUAGES, get_language
 from .metavar import MetaSubstitution
 from .reduction import FuelExhausted, normal_form, reduce
-from .syntax import ParseError, parse_constraint, parse_term, print_constraint, print_entry, print_term
+from .syntax import (
+    ParseError,
+    parse_constraint,
+    parse_term,
+    print_ast,
+    print_constraint,
+    print_entry,
+    print_term,
+)
 from .terms import MetaApp, Term, subterms
 from .typecheck import (
     DependencyEscape,
@@ -77,7 +85,7 @@ def _config(args: argparse.Namespace) -> SearchConfig:
 
 def _show(lang, term: Term, args: argparse.Namespace) -> str:
     if args.output == "ast":
-        return repr(term)
+        return print_ast(term)
     return print_term(lang, term)
 
 
@@ -88,9 +96,19 @@ def _show_type(lang, ty: Term, args: argparse.Namespace) -> str:
     return _show(lang, plain, args)
 
 
-def _ordered_metas(terms: Iterable[Term]) -> list[str]:
-    found = (t.meta for term in terms for t, _, _, _ in subterms(term) if type(t) is MetaApp)
-    return list(dict.fromkeys(found))
+def _meta_arities(terms: Iterable[Term]) -> dict[str, int]:
+    """Every metavariable with its arity, in order of first occurrence;
+    a metavariable applied to two different numbers of arguments is a
+    usage error."""
+    arities: dict[str, int] = {}
+    for term in terms:
+        for t, _, _, _ in subterms(term):
+            if type(t) is MetaApp and arities.setdefault(t.meta, len(t.args)) != len(t.args):
+                raise ValueError(
+                    f"metavariable ?{t.meta} is applied to {arities[t.meta]}"
+                    f" and to {len(t.args)} arguments"
+                )
+    return arities
 
 
 def _too_deep() -> int:
@@ -125,6 +143,7 @@ def _run_unify(lang, args: argparse.Namespace) -> int:
         for line in lines
         if line.strip() and not line.lstrip().startswith("#")
     ]
+    asked = _meta_arities(t for c in constraints for t in (c.lhs, c.rhs))
     try:
         solution = unify(lang, MetaSubstitution(), constraints, _config(args))
     except Clash as exc:
@@ -141,7 +160,6 @@ def _run_unify(lang, args: argparse.Namespace) -> int:
         return EXIT_UNDETERMINED
     except RecursionError:
         return _too_deep()
-    asked = _ordered_metas(t for c in constraints for t in (c.lhs, c.rhs))
     for name in asked:
         entry = solution.substs.get(name)
         if entry is not None:
@@ -160,6 +178,7 @@ def _run_typed(lang, args: argparse.Namespace) -> int:
         return EXIT_USAGE
     term = parse_term(args.expr, lang)
     expected = parse_term(args.type, lang) if args.command == "check" else None
+    _meta_arities((term,) if expected is None else (term, expected))
     checker = TypeChecker(lang, _config(args))
     try:
         if expected is None:

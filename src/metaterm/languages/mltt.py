@@ -74,44 +74,42 @@ def _infer_universe(tc, node):
 def _infer_quantifier(tc, node):
     """Pi and Sigma: both components are types; the codomain's own type
     must not depend on the binder (the codomain itself may)."""
-    dom = tc.should_have_type(tc.infer(node.children[0]), UNIVERSE_NODE)
+    dom = tc.should_have_type(tc.annotate(node.children[0]), UNIVERSE_NODE)
     with tc.in_scope(dom):
-        body = tc.infer(node.children[1])
+        body = tc.annotate(node.children[1])
         body_ty = tc.type_of(body)
     tc.unify_with_expected(tc.non_dep(body_ty), UNIVERSE_NODE)
-    return Op(node.tag, (tc.clarify_term(dom), tc.clarify_term(body)), UNIVERSE_NODE)
+    return Op(node.tag, (dom, body), UNIVERSE_NODE)
 
 
 def _infer_lam(tc, node):
     dom = tc.fresh_type_meta_var()
     with tc.in_scope(dom):
-        body = tc.infer(node.children[0])
+        body = tc.annotate(node.children[0])
         body_ty = tc.type_of(body)
-    pi = Op(PI, (tc.clarify_term(dom), body_ty), UNIVERSE_NODE)
-    return Op(LAM, (tc.clarify_term(body),), pi)
+    return Op(LAM, (body,), Op(PI, (dom, body_ty), UNIVERSE_NODE))
 
 
 def _infer_app(tc, node):
     sig = tc.lang.typed_signature
-    fun = tc.infer(node.children[0])
-    arg = tc.infer(node.children[1])
+    fun = tc.annotate(node.children[0])
+    arg = tc.annotate(node.children[1])
     fun_ty = tc.whnf(tc.type_of(fun))
     arg_ty = tc.type_of(arg)
     if isinstance(fun_ty, Op) and fun_ty.tag == PI:
         tc.unify_with_expected(arg_ty, fun_ty.children[0])
-        result = tc.clarify_term(instantiate(sig, fun_ty.children[1], arg))
+        result = instantiate(sig, fun_ty.children[1], arg)
     else:
-        fresh = tc.fresh_type_meta_var()
-        expected = Op(PI, (arg_ty, weaken(sig, fresh, 1)), UNIVERSE_NODE)
+        result = tc.fresh_type_meta_var()
+        expected = Op(PI, (arg_ty, weaken(sig, result, 1)), UNIVERSE_NODE)
         tc.unify_with_expected(fun_ty, expected)
-        result = tc.clarify_term(fresh)
-    return Op(APP, (tc.clarify_term(fun), tc.clarify_term(arg)), result)
+    return Op(APP, (fun, arg), result)
 
 
 def _infer_pair(tc, node):
     sig = tc.lang.typed_signature
-    a = tc.infer(node.children[0])
-    b = tc.infer(node.children[1])
+    a = tc.annotate(node.children[0])
+    b = tc.annotate(node.children[1])
     ty = Op(SIGMA, (tc.type_of(a), weaken(sig, tc.type_of(b), 1)), UNIVERSE_NODE)
     return Op(PAIR, (a, b), ty)
 
@@ -119,7 +117,7 @@ def _infer_pair(tc, node):
 def _infer_projection(index: int):
     def rule(tc, node):
         sig = tc.lang.typed_signature
-        pair = tc.infer(node.children[0])
+        pair = tc.annotate(node.children[0])
         pair_ty = tc.whnf(tc.type_of(pair))
         if not (isinstance(pair_ty, Op) and pair_ty.tag == SIGMA):
             first_ty = tc.fresh_type_meta_var()
@@ -127,24 +125,24 @@ def _infer_projection(index: int):
             expected = Op(SIGMA, (first_ty, second_ty), UNIVERSE_NODE)
             tc.unify_with_expected(pair_ty, expected)
             pair_ty = expected
-        result = tc.clarify_term(pair_ty.children[0])
+        result = pair_ty.children[0]
         if index == 1:
             first = Op(FIRST, (pair,), result)
-            result = tc.clarify_term(instantiate(sig, pair_ty.children[1], first))
-        return Op(node.tag, (tc.clarify_term(pair),), result)
+            result = instantiate(sig, pair_ty.children[1], first)
+        return Op(node.tag, (pair,), result)
 
     return rule
 
 
 def _infer_id_type(tc, node):
-    a = tc.infer(node.children[0])
-    b = tc.infer(node.children[1])
+    a = tc.annotate(node.children[0])
+    b = tc.annotate(node.children[1])
     tc.unify_with_expected(tc.type_of(a), tc.type_of(b))
-    return Op(ID_TYPE, (tc.clarify_term(a), tc.clarify_term(b)), UNIVERSE_NODE)
+    return Op(ID_TYPE, (a, b), UNIVERSE_NODE)
 
 
 def _infer_refl(tc, node):
-    subject = tc.infer(node.children[0])
+    subject = tc.annotate(node.children[0])
     ty = Op(ID_TYPE, (subject, subject), UNIVERSE_NODE)
     return Op(REFL, (subject,), ty)
 
@@ -160,8 +158,13 @@ def _infer_j(tc, node):
     re-annotated by inference, so they unify cleanly with inferred types.
     """
     plain = tc.lang.signature
-    ty_a = tc.should_have_type(tc.infer(node.children[0]), UNIVERSE_NODE)
-    a = tc.should_have_type(tc.infer(node.children[1]), ty_a)
+
+    def checked(typed, expected):
+        # Applied at once: the pieces are erased and inferred again below.
+        return tc.clarify_term(tc.should_have_type(typed, expected))
+
+    ty_a = checked(tc.annotate(node.children[0]), UNIVERSE_NODE)
+    a = checked(tc.annotate(node.children[1]), ty_a)
     e_ty_a, e_a = erase(ty_a), erase(a)
 
     motive_ty = Op(
@@ -174,21 +177,20 @@ def _infer_j(tc, node):
             ),
         ),
     )
-    motive = tc.should_have_type(tc.infer(node.children[2]), tc.infer(motive_ty))
+    motive = checked(tc.annotate(node.children[2]), tc.annotate(motive_ty))
     e_motive = erase(motive)
 
     base_ty = Op(APP, (Op(APP, (e_motive, e_a)), Op(REFL, (e_a,))))
-    base = tc.should_have_type(tc.infer(node.children[3]), tc.infer(base_ty))
+    base = checked(tc.annotate(node.children[3]), tc.annotate(base_ty))
 
-    x = tc.should_have_type(tc.infer(node.children[4]), tc.clarify_term(ty_a))
+    x = checked(tc.annotate(node.children[4]), ty_a)
     e_x = erase(x)
-    proof = tc.should_have_type(
-        tc.infer(node.children[5]), tc.infer(Op(ID_TYPE, (e_a, e_x)))
+    proof = checked(
+        tc.annotate(node.children[5]), tc.annotate(Op(ID_TYPE, (e_a, e_x)))
     )
 
-    result = tc.infer(Op(APP, (Op(APP, (e_motive, e_x)), erase(proof))))
-    children = tuple(tc.clarify_term(c) for c in (ty_a, a, motive, base, x, proof))
-    return Op(J, children, result)
+    result = tc.annotate(Op(APP, (Op(APP, (e_motive, e_x)), erase(proof))))
+    return Op(J, (ty_a, a, motive, base, x, proof), result)
 
 
 infer_rules = {

@@ -55,8 +55,8 @@ U = INFINITE_UNIVERSE
 
 
 def _infer_fun(tc, node):
-    a = tc.should_have_type(tc.infer(node.children[0]), U)
-    b = tc.should_have_type(tc.infer(node.children[1]), U)
+    a = tc.should_have_type(tc.annotate(node.children[0]), U)
+    b = tc.should_have_type(tc.annotate(node.children[1]), U)
     return Op(node.tag, (a, b), U)
 
 
@@ -66,48 +66,47 @@ def _infer_lam(tc, node):
         dom_typed = None
         dom = tc.fresh_type_meta_var()
     else:
-        dom_typed = tc.should_have_type(tc.infer(annotation), U)
+        dom_typed = tc.should_have_type(tc.annotate(annotation), U)
         dom = dom_typed
     with tc.in_scope(dom):
-        body = tc.infer(node.children[1])
+        body = tc.annotate(node.children[1])
         body_ty = tc.type_of(body)
     result_ty = tc.non_dep(body_ty)
-    return Op(LAM, (dom_typed, body), Op(FUN, (tc.clarify_term(dom), result_ty), U))
+    return Op(LAM, (dom_typed, body), Op(FUN, (dom, result_ty), U))
 
 
 def _infer_app(tc, node):
-    fun = tc.infer(node.children[0])
-    arg = tc.infer(node.children[1])
+    fun = tc.annotate(node.children[0])
+    arg = tc.annotate(node.children[1])
     fun_ty = tc.whnf(tc.type_of(fun))
     arg_ty = tc.type_of(arg)
     if isinstance(fun_ty, Op) and fun_ty.tag == FUN:
         tc.unify_with_expected(arg_ty, fun_ty.children[0])
-        result = tc.clarify_term(fun_ty.children[1])
+        result = fun_ty.children[1]
     else:
         result = tc.fresh_type_meta_var()
         tc.unify_with_expected(fun_ty, Op(FUN, (arg_ty, result), U))
-        result = tc.clarify_term(result)
-    return Op(APP, (tc.clarify_term(fun), tc.clarify_term(arg)), result)
+    return Op(APP, (fun, arg), result)
 
 
 def _infer_pair(tc, node):
-    a = tc.infer(node.children[0])
-    b = tc.infer(node.children[1])
+    a = tc.annotate(node.children[0])
+    b = tc.annotate(node.children[1])
     ty = Op(PAIR_TY, (tc.type_of(a), tc.type_of(b)), U)
     return Op(PAIR, (a, b), ty)
 
 
 def _infer_projection(index: int):
     def rule(tc, node):
-        pair = tc.infer(node.children[0])
+        pair = tc.annotate(node.children[0])
         pair_ty = tc.whnf(tc.type_of(pair))
         if isinstance(pair_ty, Op) and pair_ty.tag == PAIR_TY:
-            result = tc.clarify_term(pair_ty.children[index])
+            result = pair_ty.children[index]
         else:
             components = (tc.fresh_type_meta_var(), tc.fresh_type_meta_var())
             tc.unify_with_expected(pair_ty, Op(PAIR_TY, components, U))
-            result = tc.clarify_term(components[index])
-        return Op(node.tag, (tc.clarify_term(pair),), result)
+            result = components[index]
+        return Op(node.tag, (pair,), result)
 
     return rule
 

@@ -15,41 +15,61 @@ class ArityMismatch(Exception):
 
 
 class ConflictingEntry(Exception):
-    """Two substitutions assign different bodies to the same metavariable."""
+    """Two substitutions assign different bodies to the same metavariable,
+    or an entry mentions its own metavariable, directly or through others."""
+
+
+_NO_METAS: frozenset[str] = frozenset()  # shared by every body without metavariables
 
 
 @dataclass(frozen=True)
 class MetaAbs:
-    """A metavariable's value: a body with ``arity`` numbered holes."""
+    """A metavariable's value: a body with ``arity`` numbered holes.
+
+    ``metas`` names the metavariables the body mentions.  It is recorded
+    in the walk that checks the holes, so validating a substitution walks
+    no body.
+    """
 
     arity: int
     body: Term
+    metas: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if _max_hole(self.body) >= self.arity:
-            raise ArityMismatch(
-                f"body uses hole {_max_hole(self.body)} but arity is {self.arity}"
-            )
-
-
-def _max_hole(term: Term | None) -> int:
-    return max((t.index for t, _, _, _ in subterms(term) if type(t) is Hole), default=-1)
+        metas: set[str] = set()
+        for t, _, _, _ in subterms(self.body):
+            if type(t) is MetaApp:
+                metas.add(t.meta)
+            elif type(t) is Hole and t.index >= self.arity:
+                raise ArityMismatch(
+                    f"body uses hole {t.index} but arity is {self.arity}"
+                )
+        object.__setattr__(self, "metas", frozenset(metas) if metas else _NO_METAS)
 
 
 @dataclass(frozen=True)
 class MetaSubstitution:
     """Simultaneous map from metavariable names to abstractions.
 
-    Entries never mention their own metavariable (direct-cycle guard).
+    The substitution is triangular: a body may mention metavariables that
+    have entries of their own, and :func:`apply_substs` follows such chains
+    when it reads a term.  The chains never close: building a substitution
+    raises :class:`ConflictingEntry` when an entry reaches its own
+    metavariable, directly or through other entries.
     """
 
     entries: Mapping[str, MetaAbs] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
-        for name, abs_ in self.entries.items():
-            if name in metas_of(abs_.body):
-                raise ConflictingEntry(f"substitution for {name} mentions itself")
+        _check_acyclic(self.entries, self.entries)
+
+    @classmethod
+    def _trusted(cls, entries: dict[str, MetaAbs]) -> "MetaSubstitution":
+        """Wrap ``entries`` already known to be acyclic, validating nothing."""
+        substs = object.__new__(cls)
+        object.__setattr__(substs, "entries", MappingProxyType(entries))
+        return substs
 
     def __contains__(self, name: str) -> bool:
         return name in self.entries
@@ -61,16 +81,41 @@ class MetaSubstitution:
         return self.entries.get(name)
 
 
+def _check_acyclic(entries: Mapping[str, MetaAbs], start: Iterable[str]) -> None:
+    """Raise :class:`ConflictingEntry` when a chain of ``entries`` leads from
+    a name in ``start`` back to itself.  Reads the recorded ``metas`` sets
+    only; no body is walked."""
+    done: set[str] = set()
+    for root in start:
+        if root in done:
+            continue
+        path = {root}  # names on the current depth-first path
+        todo = [(root, iter(entries[root].metas))]
+        while todo:
+            name, successors = todo[-1]
+            for nxt in successors:
+                if nxt in path:
+                    raise ConflictingEntry(f"substitution for {nxt} mentions itself")
+                if nxt in entries and nxt not in done:
+                    path.add(nxt)
+                    todo.append((nxt, iter(entries[nxt].metas)))
+                    break
+            else:
+                todo.pop()
+                path.discard(name)
+                done.add(name)
+
+
 EMPTY_SUBSTS = MetaSubstitution()
 
 
 def apply_substs(sig: Signature, substs: MetaSubstitution, term: Term) -> Term:
     """Replace every applied metavariable that has an entry, recursively.
 
-    Entry bodies may themselves mention later-solved metavariables; those
-    are resolved on the way (entries form an acyclic chain by construction,
-    see :func:`extend_substs`).  A metavariable without an entry keeps its
-    (substituted) arguments.
+    Entry bodies may mention metavariables that have entries too; those are
+    resolved on the way, so the result mentions no key of ``substs`` (the
+    chains end: substitutions are acyclic).  A metavariable without an
+    entry keeps its (substituted) arguments.
     """
     if not substs:
         return term
@@ -97,9 +142,11 @@ def extend_substs(
 
     Old bodies referring to metavariables that ``new`` solves are resolved
     lazily by :func:`apply_substs`; new bodies referring to old keys are
-    rewritten here, keeping every extension cheap and the chain acyclic.
+    rewritten here.  Only the added entries are validated: a rewritten body
+    mentions no old key, so a cycle can only run through added entries.
     """
     merged = dict(substs.entries)
+    added: list[str] = []
     for name, abs_ in new.entries.items():
         rewritten = MetaAbs(abs_.arity, apply_substs(sig, substs, abs_.body))
         if name in merged:
@@ -107,7 +154,23 @@ def extend_substs(
                 raise ConflictingEntry(f"conflicting entries for {name}")
             continue
         merged[name] = rewritten
-    return MetaSubstitution(merged)
+        added.append(name)
+    _check_acyclic({name: merged[name] for name in added}, added)
+    return MetaSubstitution._trusted(merged)
+
+
+def resolve_entries(
+    sig: Signature, substs: MetaSubstitution, names: Iterable[str]
+) -> MetaSubstitution:
+    """``substs`` with the entries of ``names`` expanded so that their
+    bodies mention no key; applying the result equals applying ``substs``.
+    Entries already free of keys are kept as they are."""
+    entries = dict(substs.entries)
+    for name in names:
+        entry = entries[name]
+        if not entry.metas.isdisjoint(entries):
+            entries[name] = MetaAbs(entry.arity, apply_substs(sig, substs, entry.body))
+    return MetaSubstitution._trusted(entries)
 
 
 def metas_of(term: Term | None) -> set[str]:

@@ -396,14 +396,15 @@ _BRACKETS = {"Pair": ("<", ">"), "J": ("J(", ")")}
 _NAME_POOL = ("x", "y", "z", "u", "v", "w")
 
 
-def _fresh_name(avoid: set[str]) -> str:
+def _fresh_name(avoid: set[str], start: int = 1) -> tuple[str, int]:
+    """The first name of the pool, else of ``x<start>``, ``x<start+1>``, …
+    that is not in ``avoid``; with the index to start from next time."""
     for name in _NAME_POOL:
         if name not in avoid:
-            return name
-    i = 1
-    while f"x{i}" in avoid:
-        i += 1
-    return f"x{i}"
+            return name, start
+    while f"x{start}" in avoid:
+        start += 1
+    return f"x{start}", start + 1
 
 
 def print_term(
@@ -419,12 +420,23 @@ def print_term(
     that are not closed; ``hole_names`` name metavariable-body parameters.
     """
     sig = lang.typed_signature
-    avoid = free_names(term) | set(hole_names) | set(binder_names)
+    env = list(binder_names)  # names of the binders in scope, innermost last
+    taken = free_names(term) | set(hole_names) | set(binder_names)
+    hints = [1]  # per named binder: every ``x<i>`` with i < hints[-1] is taken
 
-    def fresh(env: list[str]) -> str:
-        return _fresh_name(avoid | set(env))
+    def bind() -> str:
+        """Name a new innermost binder, distinct from every name in scope."""
+        name, hint = _fresh_name(taken, hints[-1])
+        env.append(name)
+        taken.add(name)
+        hints.append(hint)
+        return name
 
-    def show(t: Term, env: list[str], level: int):
+    def unbind() -> None:
+        taken.discard(env.pop())
+        hints.pop()
+
+    def show(t: Term, level: int):
         """Text of ``t`` under the binder names ``env``, parenthesised when
         its own level binds looser than ``level``; a step of :func:`_run`."""
         match t:
@@ -438,32 +450,34 @@ def print_term(
             case MetaApp() | Op("Pair" | "J"):
                 shown = []
                 for c in t.args if type(t) is MetaApp else t.children:
-                    shown.append((yield show(c, env, _LAM)))
+                    shown.append((yield show(c, _LAM)))
                 opener, closer = (f"?{t.meta}[", "]") if type(t) is MetaApp else _BRACKETS[t.tag]
                 text, own = f"{opener}{', '.join(shown)}{closer}", _ATOM
             case Op("Lam", children, _):
-                x = fresh(env)
-                body = yield show(children[-1], env + [x], _LAM)
+                x = bind()
+                body = yield show(children[-1], _LAM)
+                unbind()
                 if len(children) == 2 and children[0] is not None:
-                    dom = yield show(children[0], env, _LAM)
+                    dom = yield show(children[0], _LAM)
                     text = f"\\({x} : {dom}). {body}"
                 else:
                     text = f"\\{x}. {body}"
                 own = _LAM
             case Op("Pi" | "Sigma" as tag, (dom, cod), _) if mentions_bound(sig, cod, 0):
-                x = fresh(env)
-                dom_text = yield show(dom, env, _LAM)
-                cod_text = yield show(cod, env + [x], _LAM)
+                dom_text = yield show(dom, _LAM)
+                x = bind()
+                cod_text = yield show(cod, _LAM)
+                unbind()
                 text, own = f"({x} : {dom_text}){_INFIX[tag][0]}{cod_text}", _LAM
             case Op(tag, (left, right), _) if tag in _INFIX:
                 separator, own, left_level, right_level = _INFIX[tag]
                 if tag in ("Pi", "Sigma"):
                     right = strengthen(sig, right)
-                left_text = yield show(left, env, left_level)
-                right_text = yield show(right, env, right_level)
+                left_text = yield show(left, left_level)
+                right_text = yield show(right, right_level)
                 text = f"{left_text}{separator}{right_text}"
             case Op("First" | "Second" | "Refl" as tag, (arg,), _):
-                arg_text = yield show(arg, env, _PREFIX)
+                arg_text = yield show(arg, _PREFIX)
                 text, own = f"{tag.lower()} {arg_text}", _PREFIX
             case Op("Universe" | "UInf", (), _):
                 text, own = "U", _ATOM
@@ -471,14 +485,40 @@ def print_term(
                 raise ValueError(f"cannot print {t!r}")
         return f"({text})" if own < level else text
 
-    return _run(show(term, list(binder_names), _LAM))
+    return _run(show(term, _LAM))
+
+
+def print_ast(term: Term) -> str:
+    """``repr(term)``, built with an explicit stack: the dataclass ``repr``
+    nests one Python call per level of the term."""
+    out: list[str] = []
+    todo: list = [term]  # text to emit, or a node to expand
+    while todo:
+        match t := todo.pop():
+            case str():
+                out.append(t)
+            case MetaApp(meta, args):
+                parts = [f"MetaApp(meta={meta!r}, args=", *_tuple_parts(args), ")"]
+                todo.extend(reversed(parts))
+            case Op(tag, children, ann):
+                parts = [f"Op(tag={tag!r}, children=", *_tuple_parts(children)]
+                todo.extend(reversed([*parts, ", ann=", ann, ")"]))
+            case _:  # a variable, a hole or an absent child: no nesting
+                out.append(repr(t))
+    return "".join(out)
+
+
+def _tuple_parts(items: tuple) -> list:
+    """The pieces of a tuple's ``repr``, items left unrendered."""
+    inner = [part for item in items for part in (", ", item)][1:]
+    return ["(", *inner, ",)" if len(items) == 1 else ")"]
 
 
 def print_constraint(lang, c: Constraint) -> str:
     names: list[str] = []
     for i in range(c.binders):
         given = c.binder_names[i] if i < len(c.binder_names) else ""
-        names.append(given or _fresh_name(set(names)))
+        names.append(given or _fresh_name(set(names))[0])
     body = (
         f"{print_term(lang, c.lhs, binder_names=tuple(names))}"
         f" =?= {print_term(lang, c.rhs, binder_names=tuple(names))}"

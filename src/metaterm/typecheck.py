@@ -76,7 +76,10 @@ class TypeInfo:
 
     Bound-variable types are stored at their introduction depth (index =
     de Bruijn level) and weakened on lookup; free- and metavariable types
-    are stored closed (depth 0).
+    are stored closed (depth 0).  Stored types are never rewritten when
+    ``substs`` grows: :meth:`TypeChecker.type_of` applies the substitution
+    on every lookup.  ``substs`` is triangular (entries may mention solved
+    metavariables; :func:`~metaterm.metavar.apply_substs` follows them).
     """
 
     free_var_types: dict[str, Term] = field(default_factory=dict)
@@ -131,11 +134,23 @@ class TypeChecker:
     # -- inference ---------------------------------------------------------
 
     def infer(self, term: Term) -> Term:
-        """Annotate every operator node with its type.
+        """Annotate every operator node with its type, with the final
+        substitution applied.
 
         Variables stay unannotated; free variables and metavariables are
         registered with fresh type metavariables on first encounter.
         """
+        return self.clarify_term(self.annotate(term))
+
+    def check(self, term: Term, expected_type: Term) -> Term:
+        """Infer both, then unify the inferred type with the expected one."""
+        expected = self.annotate(expected_type)
+        return self.clarify_term(self.should_have_type(self.annotate(term), expected))
+
+    def annotate(self, term: Term) -> Term:
+        """:meth:`infer` without applying the substitution: annotations
+        may mention metavariables solved since they were made.  Typing
+        rules recurse through this and read types with :meth:`type_of`."""
         sig = self.lang.typed_signature
         match term:
             case Bound(k):
@@ -153,7 +168,7 @@ class TypeChecker:
                     tm = MetaApp(self.ctx.fresh.fresh())
                     self.ctx.meta_var_types[tm.meta] = INFINITE_UNIVERSE
                     self.ctx.meta_var_types[name] = tm
-                return MetaApp(name, tuple(self.infer(a) for a in args))
+                return MetaApp(name, tuple(self.annotate(a) for a in args))
             case Hole():
                 raise TypeCheckError("holes cannot appear in checked terms")
             case Op(tag, children, _):
@@ -167,23 +182,19 @@ class TypeChecker:
                 rule = self.lang.infer_rules.get(tag)
                 if rule is None:
                     raise TypeCheckError(f"no typing rule for {tag!r}")
-                return self.clarify_term(rule(self, term))
+                return rule(self, term)
         raise TypeError(f"not a term: {term!r}")
 
-    def check(self, term: Term, expected_type: Term) -> Term:
-        """Infer both, then unify the inferred type with the expected one."""
-        expected = self.infer(expected_type)
-        typed = self.infer(term)
-        return self.should_have_type(typed, expected)
-
     def should_have_type(self, typed: Term, expected: Term) -> Term:
+        """Unify the type of ``typed`` with ``expected``; returns ``typed``."""
         self.unify_with_expected(self.type_of(typed), expected)
-        return self.clarify_term(typed)
+        return typed
 
     # -- type extraction ---------------------------------------------------
 
     def type_of(self, typed: Term) -> Term:
-        """The type of a term produced by :meth:`infer`, at current depth."""
+        """The type of a term produced by :meth:`infer` or :meth:`annotate`,
+        at current depth, with the substitution applied."""
         sig = self.lang.typed_signature
         match typed:
             case Bound(k):
@@ -225,12 +236,15 @@ class TypeChecker:
                 self.ctx.fresh,
             )
         except UnificationFailed as exc:
-            raise UnificationFailure(new) from exc
+            # Report the types as solved so far: rules pass them unapplied.
+            shown = Constraint(
+                self.clarify_term(actual), self.clarify_term(expected), self.depth, names
+            )
+            raise UnificationFailure(shown) from exc
         except (Undetermined, ReductionFuelExhausted) as exc:
             raise FuelExhausted(str(exc)) from exc
         self.ctx.substs = solution.substs
         self.ctx.constraints = list(solution.residual)
-        self._clarify_state()
 
     def whnf(self, term: Term) -> Term:
         """Weak head normal form under the typed reducer, substitutions
@@ -244,16 +258,3 @@ class TypeChecker:
 
     def clarify_term(self, term: Term) -> Term:
         return apply_substs(self.lang.typed_signature, self.ctx.substs, term)
-
-    def _clarify_state(self) -> None:
-        sig = self.lang.typed_signature
-        s = self.ctx.substs
-        self.ctx.free_var_types = {
-            k: apply_substs(sig, s, v) for k, v in self.ctx.free_var_types.items()
-        }
-        self.ctx.bound_var_types = [
-            apply_substs(sig, s, v) for v in self.ctx.bound_var_types
-        ]
-        self.ctx.meta_var_types = {
-            k: apply_substs(sig, s, v) for k, v in self.ctx.meta_var_types.items()
-        }

@@ -24,6 +24,7 @@ from .metavar import (
     apply_substs,
     extend_substs,
     metas_of,
+    resolve_entries,
 )
 from .reduction import FuelExhausted, reduce
 from .signature import Shape, Signature, SlotKind, head_slot_of, zip_match
@@ -271,10 +272,8 @@ def _imitation(
             replacements[forall_index] = MetaApp(supply.fresh(), holes)
         return replacements[forall_index]
 
-    body = rebuild(head, var, sig=sig)
-    if flex.meta in metas_of(body):
-        return None
-    return MetaAbs(n, body)
+    imitation = MetaAbs(n, rebuild(head, var, sig=sig))
+    return None if flex.meta in imitation.metas else imitation
 
 
 def candidates(
@@ -322,16 +321,6 @@ def candidates(
 # The main loop
 
 
-def _resolve_entries(sig: Signature, substs: MetaSubstitution) -> MetaSubstitution:
-    """Expand entry chains so every body is free of solved metavariables."""
-    return MetaSubstitution(
-        {
-            name: MetaAbs(entry.arity, apply_substs(sig, substs, entry.body))
-            for name, entry in substs.entries.items()
-        }
-    )
-
-
 @dataclass
 class _ChoicePoint:
     substs: MetaSubstitution
@@ -349,10 +338,13 @@ def unify(
 ) -> Solution:
     """Preunify: solve flex-rigid constraints, return flex-flex residual.
 
-    Raises :class:`UnificationFailed` when every candidate branch clashes
-    and :class:`Undetermined` when a fuel budget runs out first.  Sibling
-    candidate branches never observe each other's state: each choice point
-    snapshots the (immutable) substitution and constraint list.
+    The entries of ``substs`` come back as given; each entry the search
+    adds is resolved, so its body mentions no metavariable that has an
+    entry.  Raises :class:`UnificationFailed` when every candidate branch
+    clashes and :class:`Undetermined` when a fuel budget runs out first.
+    Sibling candidate branches never observe each other's state: each
+    choice point snapshots the (immutable) substitution and constraint
+    list.
     """
     constraints = list(constraints)
     if supply is None:
@@ -388,7 +380,8 @@ def _search(
                 c for c in cs if classify(c) is ConstraintClass.FLEX_RIGID
             ]
             if not flex_rigid:
-                return Solution(_resolve_entries(lang.signature, s), tuple(cs))
+                added = [name for name in s.entries if name not in substs]
+                return Solution(resolve_entries(lang.signature, s, added), tuple(cs))
             picked = flex_rigid[0]
             assert isinstance(picked.lhs, MetaApp)
             stack.append(

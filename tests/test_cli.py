@@ -132,6 +132,14 @@ class TestUnify:
         code, _, err = run(["unify", "/nonexistent/path"], capsys)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "problem", ["?m[a] =?= ?m[a, b]\n", "?m[a] =?= ?m[a, b]\n?m[a, b] =?= f\n"]
+    )
+    def test_one_arity_per_metavariable(self, problem, capsys, monkeypatch):
+        code, out, err = run(["unify"], capsys, stdin=problem, monkeypatch=monkeypatch)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: metavariable ?m is applied to 1 and to 2 arguments\n"
+
 
 class TestInfer:
     def test_stlc_constant_function(self, capsys):
@@ -144,6 +152,11 @@ class TestInfer:
     def test_mltt_identity_type(self, capsys):
         code, out, _ = run(["--lang", "mltt", "infer", "refl a"], capsys)
         assert code == EXIT_OK and out.strip() == "a = a"
+
+    def test_one_arity_per_metavariable(self, capsys):
+        code, out, err = run(["--lang", "mltt", "infer", "J(a, b, ?m[?m[]], a, a, a)"], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: metavariable ?m is applied to 1 and to 0 arguments\n"
 
     def test_ulc_has_no_types(self, capsys):
         code, _, err = run(["infer", r"\x. x"], capsys)

@@ -56,6 +56,21 @@ def test_deeply_nested_argument_prints_back():
     assert (result.returncode, result.stdout, result.stderr) == (0, text + "\n", "")
 
 
+def test_deeply_nested_binders_print_back():
+    names = ["x", "y", "z", "u", "v", "w", *(f"x{i}" for i in range(1, 2995))]
+    text = "".join(f"\\{name}. " for name in names) + "x"
+    result = metaterm("reduce", text)
+    assert (result.returncode, result.stdout, result.stderr) == (0, text + "\n", "")
+
+
+def test_deep_ast_output():
+    text = "f (" * 1999 + "f x" + ")" * 1999
+    result = metaterm("--output", "ast", "reduce", text)
+    node = "Op(tag='App', children=(Free(name='f'), "
+    expected = node * 2000 + "Free(name='x')" + "), ann=None)" * 2000
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected + "\n", "")
+
+
 def test_long_application_spine_prints_back():
     text = "f " + " ".join(f"a{i}" for i in range(1, 3001))
     result = metaterm("reduce", text)

@@ -39,9 +39,42 @@ class TestMetaAbs:
         with pytest.raises(ArityMismatch):
             MetaAbs(1, Hole(1))
 
+    def test_records_the_metavariables_of_its_body(self):
+        body = app(MetaApp("m", (Hole(0),)), lam(MetaApp("k", (MetaApp("n"),))))
+        assert MetaAbs(1, body).metas == {"m", "n", "k"}
+        assert MetaAbs(0, Free("a")).metas == frozenset()
+
     def test_self_mention_rejected(self):
         with pytest.raises(ConflictingEntry):
             MetaSubstitution({"m": MetaAbs(0, MetaApp("m"))})
+
+
+class TestCycles:
+    def test_cycle_through_an_operator_rejected(self):
+        with pytest.raises(ConflictingEntry):
+            MetaSubstitution(
+                {
+                    "m": MetaAbs(0, app(Free("f"), MetaApp("n"))),
+                    "n": MetaAbs(0, app(Free("g"), MetaApp("m"))),
+                }
+            )
+
+    def test_rename_cycle_rejected(self):
+        with pytest.raises(ConflictingEntry):
+            MetaSubstitution({"m": MetaAbs(0, MetaApp("n")), "n": MetaAbs(0, MetaApp("m"))})
+
+    def test_long_chain_checked_without_recursion(self):
+        chain = {f"m{i}": MetaAbs(0, MetaApp(f"m{i + 1}")) for i in range(5000)}
+        s = MetaSubstitution(chain)
+        assert apply_substs(SIG, s, MetaApp("m0")) == MetaApp("m5000")
+        with pytest.raises(ConflictingEntry):
+            MetaSubstitution({**chain, "m5000": MetaAbs(0, app(Free("f"), MetaApp("m0")))})
+
+    def test_extension_closing_a_cycle_rejected(self):
+        # Each substitution is acyclic; rewritten under ``a``, b's body is ?b[].
+        s = MetaSubstitution({"a": MetaAbs(0, MetaApp("b"))})
+        with pytest.raises(ConflictingEntry):
+            extend_substs(SIG, s, MetaSubstitution({"b": MetaAbs(0, app(Free("f"), MetaApp("a")))}))
 
 
 class TestApply:

@@ -10,10 +10,12 @@ from metaterm.syntax import (
     UnknownConstruct,
     parse_constraint,
     parse_term,
+    print_ast,
     print_constraint,
     print_term,
 )
 from metaterm.terms import Bound, Free, MetaApp, Op
+from metaterm.typecheck import TypeChecker, TypeCheckError
 
 ulc = LANGUAGES["ulc"]
 stlc = LANGUAGES["stlc"]
@@ -87,6 +89,19 @@ def test_print_is_stable(lang_name, src):
     assert once == twice
 
 
+@pytest.mark.parametrize("lang_name, src", CORPUS)
+def test_ast_output_is_the_dataclass_repr(lang_name, src):
+    lang = LANGUAGES[lang_name]
+    term = parse_term(src, lang)
+    assert print_ast(term) == repr(term)
+    if lang.infer_rules:
+        try:
+            typed = TypeChecker(lang).infer(term)
+        except TypeCheckError:
+            return
+        assert print_ast(typed) == repr(typed)
+
+
 class TestDeBruijnResolution:
     def test_names_resolve_to_indices(self):
         assert parse_term(r"\x. \y. x", ulc) == Op(
@@ -119,6 +134,12 @@ class TestPrinterNames:
         head, _, _ = printed.partition(".")
         inner = printed.split(".")[1]
         assert head.lstrip("\\").strip() not in inner.split(".")[0]
+
+    def test_numbered_names_skip_taken_ones(self):
+        src = r"\a. x1 (\b. \c. \d. \e. \f. \g. \h. \i. x3 i a (\j. j h))"
+        assert print_term(ulc, parse_term(src, ulc)) == (
+            r"\x. x1 (\y. \z. \u. \v. \w. \x2. \x4. \x5. x3 x5 x (\x6. x6 x4))"
+        )
 
     def test_annotations_suppressed(self):
         # typed nodes print like their erased counterparts

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from metaterm.languages import LANGUAGES
-from metaterm.metavar import FreshSupply, MetaAbs, MetaSubstitution, metas_of
+from metaterm.metavar import FreshSupply, MetaAbs, MetaSubstitution, apply_substs, metas_of
 from metaterm.signature import SlotKind, make_signature
 from metaterm.syntax import parse_constraint, parse_term
 from metaterm.terms import Bound, Free, Hole, MetaApp, Op
@@ -208,3 +208,29 @@ def test_fresh_metas_avoid_problem_names():
     assert "m1" in {*solution.substs.entries} | {
         m for c in solution.residual for m in metas_of(c.lhs) | metas_of(c.rhs)
     }
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        ["?m[] =?= f ?n[]", "?n[] =?= a"],
+        ["?n[] =?= ?m[] b", "?m[] a =?= g a"],
+        ["forall x. ?m[] x =?= f x (?n[] x)", "?n[] =?= \\y. c y"],
+    ],
+)
+def test_given_entries_come_back_as_given(problem):
+    """The checker's triangular substitution: unify keeps the entries it is
+    given, even when they mention metavariables it solves, and resolves the
+    ones it adds."""
+    given = MetaSubstitution({"g": MetaAbs(0, parse_term("h ?m[] ?n[]", ulc))})
+    constraints = [cstr(src) for src in problem]
+    result = unify(ulc, given, constraints).substs
+    assert all(result.get(name) is entry for name, entry in given.entries.items())
+    added = {name: e for name, e in result.entries.items() if name not in given}
+    assert {"m", "n"} <= added.keys()
+    assert all(e.metas.isdisjoint(result.entries) for e in added.values())
+    search = MetaSubstitution(added)
+    for t in [MetaApp("g"), *(side for c in constraints for side in (c.lhs, c.rhs))]:
+        assert apply_substs(ulc.signature, result, t) == apply_substs(
+            ulc.signature, search, apply_substs(ulc.signature, given, t)
+        )
