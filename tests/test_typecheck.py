@@ -22,6 +22,7 @@ from metaterm.typecheck import (
     UnificationFailure,
     erase,
 )
+from metaterm.unification import SearchConfig
 
 from strategies import terms
 
@@ -301,13 +302,21 @@ class TestInvariants:
             TypeChecker(ulc)
 
 
+# The candidate search is depth-first, and some generated terms send it down
+# an endless chain of growing candidates: at the default budgets MLTT
+# ``J(?m[\x. first x], a, a, c, b, a)`` spends about 100 s before running out
+# of fuel.  Small budgets keep every example cheap; a budget running out is a
+# ``FuelExhausted`` failure, which the property skips like any other.
+PROPERTY_BUDGETS = SearchConfig(fuel=50, guess_fuel=5)
+
+
 class TestSubstitutionReads:
     @pytest.mark.parametrize("lang", [stlc, mltt], ids=["stlc", "mltt"])
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_inferred_terms_are_fully_applied(self, lang, data):
         term = data.draw(terms(lang.signature, size=4))
-        tc = TypeChecker(lang)
+        tc = TypeChecker(lang, PROPERTY_BUDGETS)
         try:
             typed = tc.infer(term)
         except (TypeCheckError, ArityMismatch):
