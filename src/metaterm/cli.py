@@ -50,9 +50,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default="ulc",
         help="object language (default: ulc)",
     )
-    parser.add_argument("--fuel", type=int, default=1000, help="candidate attempts")
-    parser.add_argument("--guess-fuel", type=int, default=100, help="guess expansions")
-    parser.add_argument("--reduce-fuel", type=int, default=10_000, help="head steps")
+    budget = SearchConfig()
+    parser.add_argument("--fuel", type=int, default=budget.fuel, help="candidate attempts")
+    parser.add_argument(
+        "--guess-fuel", type=int, default=budget.guess_fuel, help="guess expansions"
+    )
+    parser.add_argument("--reduce-fuel", type=int, default=budget.reduce_fuel, help="head steps")
     parser.add_argument(
         "--output", choices=("pretty", "ast"), default="pretty", help="output format"
     )
@@ -111,16 +114,6 @@ def _meta_arities(terms: Iterable[Term]) -> dict[str, int]:
     return arities
 
 
-def _too_deep() -> int:
-    """Report a term too deeply nested for the stages that still recurse
-    (the type checker and structural equality of terms)."""
-    print(
-        f"undetermined: term nesting exceeds the recursion limit ({sys.getrecursionlimit()})",
-        file=sys.stderr,
-    )
-    return EXIT_UNDETERMINED
-
-
 def _run_reduce(lang, args: argparse.Namespace) -> int:
     term = parse_term(args.expr, lang)
     try:
@@ -158,8 +151,6 @@ def _run_unify(lang, args: argparse.Namespace) -> int:
     except (Undetermined, FuelExhausted) as exc:
         print(f"undetermined: {exc}", file=sys.stderr)
         return EXIT_UNDETERMINED
-    except RecursionError:
-        return _too_deep()
     for name in asked:
         entry = solution.substs.get(name)
         if entry is not None:
@@ -202,8 +193,6 @@ def _run_typed(lang, args: argparse.Namespace) -> int:
     except TypeFuelExhausted as exc:
         print(f"undetermined: {exc}", file=sys.stderr)
         return EXIT_UNDETERMINED
-    except RecursionError:
-        return _too_deep()
     except TypeCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

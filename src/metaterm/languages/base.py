@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable, Generator, Mapping
 
 from ..reduction import Reducer
 from ..signature import Signature
 from ..terms import Op, Term
 
-# rule(checker, plain node) -> annotated node
-InferRule = Callable[[object, Op], Op]
+# rule(checker, plain node): a generator step of ``terms.run`` that gets each
+# annotated child as ``(yield checker.step(child))`` and returns the node
+# annotated (see ``metaterm.typecheck``).
+InferRule = Callable[[object, Op], Generator]
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ universe, and the two tags are identified during matching.
 
 from __future__ import annotations
 
+from .. import typecheck
 from ..reduction import Reducer, beta, identity_elim, projection
 from ..signature import Shape, SlotKind, annotate_signature, make_signature
-from ..terms import Bound, Op, instantiate, weaken
+from ..terms import Bound, Op, weaken
 from ..typecheck import INFINITE_UNIVERSE, erase
 from .base import Language
 
@@ -68,81 +69,19 @@ UNIVERSE_NODE = Op(UNIVERSE, (), INFINITE_UNIVERSE)
 
 
 def _infer_universe(tc, node):
+    yield from ()  # a rule is a generator, even with no child to type
     return UNIVERSE_NODE
 
 
-def _infer_quantifier(tc, node):
-    """Pi and Sigma: both components are types; the codomain's own type
-    must not depend on the binder (the codomain itself may)."""
-    dom = tc.should_have_type(tc.annotate(node.children[0]), UNIVERSE_NODE)
-    with tc.in_scope(dom):
-        body = tc.annotate(node.children[1])
-        body_ty = tc.type_of(body)
-    tc.unify_with_expected(tc.non_dep(body_ty), UNIVERSE_NODE)
-    return Op(node.tag, (dom, body), UNIVERSE_NODE)
-
-
-def _infer_lam(tc, node):
-    dom = tc.fresh_type_meta_var()
-    with tc.in_scope(dom):
-        body = tc.annotate(node.children[0])
-        body_ty = tc.type_of(body)
-    return Op(LAM, (body,), Op(PI, (dom, body_ty), UNIVERSE_NODE))
-
-
-def _infer_app(tc, node):
-    sig = tc.lang.typed_signature
-    fun = tc.annotate(node.children[0])
-    arg = tc.annotate(node.children[1])
-    fun_ty = tc.whnf(tc.type_of(fun))
-    arg_ty = tc.type_of(arg)
-    if isinstance(fun_ty, Op) and fun_ty.tag == PI:
-        tc.unify_with_expected(arg_ty, fun_ty.children[0])
-        result = instantiate(sig, fun_ty.children[1], arg)
-    else:
-        result = tc.fresh_type_meta_var()
-        expected = Op(PI, (arg_ty, weaken(sig, result, 1)), UNIVERSE_NODE)
-        tc.unify_with_expected(fun_ty, expected)
-    return Op(APP, (fun, arg), result)
-
-
-def _infer_pair(tc, node):
-    sig = tc.lang.typed_signature
-    a = tc.annotate(node.children[0])
-    b = tc.annotate(node.children[1])
-    ty = Op(SIGMA, (tc.type_of(a), weaken(sig, tc.type_of(b), 1)), UNIVERSE_NODE)
-    return Op(PAIR, (a, b), ty)
-
-
-def _infer_projection(index: int):
-    def rule(tc, node):
-        sig = tc.lang.typed_signature
-        pair = tc.annotate(node.children[0])
-        pair_ty = tc.whnf(tc.type_of(pair))
-        if not (isinstance(pair_ty, Op) and pair_ty.tag == SIGMA):
-            first_ty = tc.fresh_type_meta_var()
-            second_ty = weaken(sig, tc.fresh_type_meta_var(), 1)
-            expected = Op(SIGMA, (first_ty, second_ty), UNIVERSE_NODE)
-            tc.unify_with_expected(pair_ty, expected)
-            pair_ty = expected
-        result = pair_ty.children[0]
-        if index == 1:
-            first = Op(FIRST, (pair,), result)
-            result = instantiate(sig, pair_ty.children[1], first)
-        return Op(node.tag, (pair,), result)
-
-    return rule
-
-
 def _infer_id_type(tc, node):
-    a = tc.annotate(node.children[0])
-    b = tc.annotate(node.children[1])
+    a = yield tc.step(node.children[0])
+    b = yield tc.step(node.children[1])
     tc.unify_with_expected(tc.type_of(a), tc.type_of(b))
     return Op(ID_TYPE, (a, b), UNIVERSE_NODE)
 
 
 def _infer_refl(tc, node):
-    subject = tc.annotate(node.children[0])
+    subject = yield tc.step(node.children[0])
     ty = Op(ID_TYPE, (subject, subject), UNIVERSE_NODE)
     return Op(REFL, (subject,), ty)
 
@@ -163,8 +102,8 @@ def _infer_j(tc, node):
         # Applied at once: the pieces are erased and inferred again below.
         return tc.clarify_term(tc.should_have_type(typed, expected))
 
-    ty_a = checked(tc.annotate(node.children[0]), UNIVERSE_NODE)
-    a = checked(tc.annotate(node.children[1]), ty_a)
+    ty_a = checked((yield tc.step(node.children[0])), UNIVERSE_NODE)
+    a = checked((yield tc.step(node.children[1])), ty_a)
     e_ty_a, e_a = erase(ty_a), erase(a)
 
     motive_ty = Op(
@@ -177,31 +116,30 @@ def _infer_j(tc, node):
             ),
         ),
     )
-    motive = checked(tc.annotate(node.children[2]), tc.annotate(motive_ty))
+    motive = checked((yield tc.step(node.children[2])), (yield tc.step(motive_ty)))
     e_motive = erase(motive)
 
     base_ty = Op(APP, (Op(APP, (e_motive, e_a)), Op(REFL, (e_a,))))
-    base = checked(tc.annotate(node.children[3]), tc.annotate(base_ty))
+    base = checked((yield tc.step(node.children[3])), (yield tc.step(base_ty)))
 
-    x = checked(tc.annotate(node.children[4]), ty_a)
+    x = checked((yield tc.step(node.children[4])), ty_a)
     e_x = erase(x)
-    proof = checked(
-        tc.annotate(node.children[5]), tc.annotate(Op(ID_TYPE, (e_a, e_x)))
-    )
+    proof_ty = Op(ID_TYPE, (e_a, e_x))
+    proof = checked((yield tc.step(node.children[5])), (yield tc.step(proof_ty)))
 
-    result = tc.annotate(Op(APP, (Op(APP, (e_motive, e_x)), erase(proof))))
+    result = yield tc.step(Op(APP, (Op(APP, (e_motive, e_x)), erase(proof))))
     return Op(J, (ty_a, a, motive, base, x, proof), result)
 
 
 infer_rules = {
     UNIVERSE: _infer_universe,
-    PI: _infer_quantifier,
-    SIGMA: _infer_quantifier,
-    LAM: _infer_lam,
-    APP: _infer_app,
-    PAIR: _infer_pair,
-    FIRST: _infer_projection(0),
-    SECOND: _infer_projection(1),
+    PI: typecheck.type_former(UNIVERSE_NODE),
+    SIGMA: typecheck.type_former(UNIVERSE_NODE),
+    LAM: typecheck.lam(PI, UNIVERSE_NODE),
+    APP: typecheck.app(PI, UNIVERSE_NODE),
+    PAIR: typecheck.pair(SIGMA, UNIVERSE_NODE),
+    FIRST: typecheck.projection(0, SIGMA, UNIVERSE_NODE),
+    SECOND: typecheck.projection(1, SIGMA, UNIVERSE_NODE),
     ID_TYPE: _infer_id_type,
     REFL: _infer_refl,
     J: _infer_j,

@@ -1,4 +1,4 @@
-"""Language descriptors: operator tables, match overrides, guess tables, shapes.
+"""Language descriptors: operator tables, guess tables, shapes.
 
 A :class:`Signature` is a runtime description of an object language's
 syntactic constructions.  Everything here is immutable after construction
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from .terms import Op, Term
@@ -43,7 +43,6 @@ class Shape:
 
 # Paired children of two matched nodes: (slot kind, left child, right child).
 MatchedSlots = list[tuple[SlotKind, "Term", "Term"]]
-MatchOverride = Callable[["Op", "Op"], Optional[MatchedSlots]]
 
 
 class SignatureError(ValueError):
@@ -67,7 +66,6 @@ class Signature:
     operators: dict[str, Operator]
     guess_table: dict[tuple[str, int], tuple[str, ...]] = field(default_factory=dict)
     shapes: tuple[Shape, ...] = ()
-    match_overrides: dict[str, MatchOverride] = field(default_factory=dict)
     tag_equivalences: tuple[frozenset[str], ...] = ()
     typed: bool = False
 
@@ -118,7 +116,6 @@ def sum_signature(left: Signature, right: Signature, name: str | None = None) ->
         operators={**left.operators, **right.operators},
         guess_table={**left.guess_table, **right.guess_table},
         shapes=left.shapes + right.shapes,
-        match_overrides={**left.match_overrides, **right.match_overrides},
         tag_equivalences=left.tag_equivalences + right.tag_equivalences,
         typed=left.typed or right.typed,
     )
@@ -148,36 +145,30 @@ def zip_match(sig: Signature, left: "Op", right: "Op") -> Optional[tuple[str, Ma
     """Pair the children of two operator nodes, or refuse.
 
     Returns ``(tag, paired slots)`` on success; annotations of typed nodes
-    are paired as an extra plain slot.  Per-tag overrides run first;
-    cross-tag matches are only allowed between equivalent nullary tags.
+    are paired as an extra plain slot.  Cross-tag matches are only allowed
+    between equivalent nullary tags.
     """
     if left.tag != right.tag:
         if sig.equivalent_tags(left.tag, right.tag):
             return (left.tag, [])
         return None
-    override = sig.match_overrides.get(left.tag)
-    if override is not None:
-        slots = override(left, right)
-        if slots is None:
-            return None
-    else:
-        slots = []
-        op = sig.operators[left.tag]
-        for kind, lc, rc in zip(op.slots, left.children, right.children):
-            if kind is SlotKind.OPT_TERM:
-                if lc is None and rc is None:
-                    continue
-                # Keep the present annotation, pairing it with itself.
-                lc = lc if lc is not None else rc
-                rc = rc if rc is not None else lc
-                slots.append((SlotKind.TERM, lc, rc))
-            else:
-                slots.append((kind, lc, rc))
+    slots = []
+    op = sig.operators[left.tag]
+    for kind, lc, rc in zip(op.slots, left.children, right.children):
+        if kind is SlotKind.OPT_TERM:
+            if lc is None and rc is None:
+                continue
+            # Keep the present annotation, pairing it with itself.
+            lc = lc if lc is not None else rc
+            rc = rc if rc is not None else lc
+            slots.append((SlotKind.TERM, lc, rc))
+        else:
+            slots.append((kind, lc, rc))
     if sig.typed:
         if (left.ann is None) != (right.ann is None):
             return None
         if left.ann is not None:
-            slots = slots + [(SlotKind.TERM, left.ann, right.ann)]
+            slots.append((SlotKind.TERM, left.ann, right.ann))
     return (left.tag, slots)
 
 

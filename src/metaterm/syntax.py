@@ -25,7 +25,7 @@ Constraints:   ('forall' name+ '.')* term '=?=' term
 from __future__ import annotations
 
 import re
-from typing import Generator, NamedTuple
+from typing import NamedTuple
 
 from .metavar import MetaAbs
 from .signature import INF_UNIVERSE_TAG, SlotKind
@@ -38,6 +38,7 @@ from .terms import (
     Term,
     free_names,
     mentions_bound,
+    run,
     strengthen,
     weaken,
 )
@@ -178,7 +179,7 @@ class _Parser:
 
     # -- grammar -----------------------------------------------------------
     #
-    # Each rule is a generator run by :func:`_run`: ``(yield self.rule())``
+    # Each rule is a generator run by :func:`run`: ``(yield self.rule())``
     # parses a sub-rule and evaluates to its result, so nesting depth in the
     # input never nests Python calls.
 
@@ -344,34 +345,16 @@ class _Parser:
             raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
 
 
-def _run(step: Generator):
-    """Run a generator-written recursion with an explicit stack: a step
-    yields the generator of a sub-step and is resumed with its result."""
-    stack = [step]
-    value = None
-    while True:
-        try:
-            sub = stack[-1].send(value)
-        except StopIteration as done:
-            stack.pop()
-            if not stack:
-                return done.value
-            value = done.value
-        else:
-            stack.append(sub)
-            value = None
-
-
 def parse_term(src: str, lang) -> Term:
     parser = _Parser(src, lang)
-    term = _run(parser.term())
+    term = run(parser.term())
     parser.finish()
     return term
 
 
 def parse_constraint(src: str, lang) -> Constraint:
     parser = _Parser(src, lang)
-    c = _run(parser.constraint())
+    c = run(parser.constraint())
     parser.finish()
     return c
 
@@ -438,7 +421,7 @@ def print_term(
 
     def show(t: Term, level: int):
         """Text of ``t`` under the binder names ``env``, parenthesised when
-        its own level binds looser than ``level``; a step of :func:`_run`."""
+        its own level binds looser than ``level``; a step of :func:`run`."""
         match t:
             case Bound(k):
                 # ``#k``: not closed under the given names
@@ -485,33 +468,35 @@ def print_term(
                 raise ValueError(f"cannot print {t!r}")
         return f"({text})" if own < level else text
 
-    return _run(show(term, _LAM))
+    return run(show(term, _LAM))
 
 
 def print_ast(term: Term) -> str:
-    """``repr(term)``, built with an explicit stack: the dataclass ``repr``
-    nests one Python call per level of the term."""
+    """``repr(term)``, built by a step of :func:`run`: the dataclass
+    ``repr`` nests one Python call per level of the term."""
     out: list[str] = []
-    todo: list = [term]  # text to emit, or a node to expand
-    while todo:
-        match t := todo.pop():
-            case str():
-                out.append(t)
-            case MetaApp(meta, args):
-                parts = [f"MetaApp(meta={meta!r}, args=", *_tuple_parts(args), ")"]
-                todo.extend(reversed(parts))
-            case Op(tag, children, ann):
-                parts = [f"Op(tag={tag!r}, children=", *_tuple_parts(children)]
-                todo.extend(reversed([*parts, ", ann=", ann, ")"]))
-            case _:  # a variable, a hole or an absent child: no nesting
-                out.append(repr(t))
+
+    def show(t: Term | None):
+        if type(t) is MetaApp:
+            out.append(f"MetaApp(meta={t.meta!r}, args=(")
+            items = t.args
+        elif type(t) is Op:
+            out.append(f"Op(tag={t.tag!r}, children=(")
+            items = t.children
+        else:  # a variable, a hole or an absent child: no nesting
+            out.append(repr(t))
+            return
+        for i, item in enumerate(items):
+            out.append(", " if i else "")
+            yield show(item)
+        out.append(",)" if len(items) == 1 else ")")
+        if type(t) is Op:
+            out.append(", ann=")
+            yield show(t.ann)
+        out.append(")")
+
+    run(show(term))
     return "".join(out)
-
-
-def _tuple_parts(items: tuple) -> list:
-    """The pieces of a tuple's ``repr``, items left unrendered."""
-    inner = [part for item in items for part in (", ", item)][1:]
-    return ["(", *inner, ",)" if len(items) == 1 else ")"]
 
 
 def print_constraint(lang, c: Constraint) -> str:

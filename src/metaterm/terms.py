@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import is_
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Generator, Iterator, Mapping, Sequence, Union
 
 from .signature import Signature, SlotKind
 
@@ -43,6 +43,9 @@ class MetaApp:
     meta: str
     args: tuple["Term", ...] = ()
 
+    def __eq__(self, other: object) -> bool:
+        return _equal(self, other) if type(other) is MetaApp else NotImplemented
+
 
 @dataclass(frozen=True)
 class Op:
@@ -57,12 +60,62 @@ class Op:
     children: tuple["Term | None", ...] = ()
     ann: "Term | None" = None
 
+    def __eq__(self, other: object) -> bool:
+        return _equal(self, other) if type(other) is Op else NotImplemented
+
 
 Term = Union[Bound, Free, Hole, MetaApp, Op]
 
 
 class MissingAssignment(Exception):
     """A hole index has no assigned argument (metavariable arity breach)."""
+
+
+def run(step: Generator):
+    """Run a generator-written recursion with an explicit stack.
+
+    A step yields the generator of a sub-step and is resumed with its
+    result, so ``(yield sub)`` reads like a call but nests no Python call.
+    An exception escaping a sub-step is raised at the ``yield`` of the step
+    that yielded it, so ``with`` and ``try`` blocks unwind innermost first.
+    """
+    stack = [step]
+    value = error = None
+    while True:
+        try:
+            sub = stack[-1].send(value) if error is None else stack[-1].throw(error)
+        except StopIteration as done:
+            value, error = done.value, None
+        except Exception as exc:
+            value, error = None, exc
+        else:
+            stack.append(sub)
+            value = error = None
+            continue
+        stack.pop()
+        if not stack:
+            if error is not None:
+                raise error
+            return value
+
+
+def _equal(a: Term, b: Term) -> bool:
+    """Structural equality on an explicit stack; identical subterms are
+    equal without a look inside.  ``__hash__`` stays the dataclass one: it
+    agrees with this, but recurses, and the library hashes no term."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if type(x) is Op is type(y) and x.tag == y.tag and len(x.children) == len(y.children):
+            todo.append((x.ann, y.ann))
+            todo.extend(zip(x.children, y.children))
+        elif type(x) is MetaApp is type(y) and x.meta == y.meta and len(x.args) == len(y.args):
+            todo.extend(zip(x.args, y.args))
+        elif type(x) is Op or type(x) is MetaApp or x != y:  # x != y: two leaves
+            return False
+    return True
 
 
 # Every operation below is one of two walks, each driven by an explicit

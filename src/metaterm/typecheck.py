@@ -5,13 +5,21 @@ the result carries a type annotation in its ``ann`` field, and annotation
 chains terminate at the infinite-universe operator (which may only appear
 in type position).  Language-specific typing is supplied as per-node rules;
 this module provides the shared state (:class:`TypeInfo`), scope handling,
-and the bridge to preunification.
+the bridge to preunification, and builders for the rules of function and
+pair types (:func:`app`, :func:`lam`, :func:`pair`, :func:`projection`,
+:func:`type_former`).
+
+A rule is a generator ``rule(checker, node)`` run by
+:func:`~metaterm.terms.run`: ``(yield checker.step(child))`` evaluates to
+the annotated child, and the rule returns the annotated node.  Nesting in
+the input never nests Python calls.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from typing import Generator
 
 from .metavar import FreshSupply, MetaSubstitution, apply_substs
 from .reduction import FuelExhausted as ReductionFuelExhausted
@@ -24,7 +32,9 @@ from .terms import (
     MetaApp,
     Op,
     Term,
+    instantiate,
     mentions_bound,
+    run,
     strengthen,
     trans,
     weaken,
@@ -49,16 +59,22 @@ class UnificationFailure(TypeCheckError):
     """Actual and expected types do not preunify."""
 
     def __init__(self, constraint: Constraint):
+        super().__init__(constraint)
         self.constraint = constraint
-        super().__init__(f"cannot unify types in {constraint}")
+
+    def __str__(self) -> str:  # on demand: the types may be deep
+        return f"cannot unify types in {self.constraint}"
 
 
 class DependencyEscape(TypeCheckError):
     """A type in a non-dependent position mentions its binder."""
 
     def __init__(self, offending: Term):
+        super().__init__(offending)
         self.offending = offending
-        super().__init__(f"inferred type depends on its bound variable: {offending}")
+
+    def __str__(self) -> str:  # on demand: the type may be deep
+        return f"inferred type depends on its bound variable: {self.offending}"
 
 
 class FuelExhausted(TypeCheckError):
@@ -85,6 +101,7 @@ class TypeInfo:
     free_var_types: dict[str, Term] = field(default_factory=dict)
     bound_var_types: list[Term] = field(default_factory=list)
     meta_var_types: dict[str, Term] = field(default_factory=dict)
+    meta_arities: dict[str, int] = field(default_factory=dict)
     substs: MetaSubstitution = field(default_factory=MetaSubstitution)
     constraints: list[Constraint] = field(default_factory=list)
     fresh: FreshSupply = field(default_factory=lambda: FreshSupply(prefix="t"))
@@ -94,7 +111,7 @@ class TypeChecker:
     """Bottom-up inference engine for one language.
 
     ``lang`` must provide ``typed_signature``, ``typed_reducer``,
-    ``infer_rules`` (tag -> rule(checker, node) -> annotated node) and
+    ``infer_rules`` (tag -> rule, see the module docstring) and
     ``dependent_types``.
     """
 
@@ -149,9 +166,12 @@ class TypeChecker:
 
     def annotate(self, term: Term) -> Term:
         """:meth:`infer` without applying the substitution: annotations
-        may mention metavariables solved since they were made.  Typing
-        rules recurse through this and read types with :meth:`type_of`."""
-        sig = self.lang.typed_signature
+        may mention metavariables solved since they were made."""
+        return run(self.step(term))
+
+    def step(self, term: Term) -> Generator:
+        """Annotate ``term`` as a step of :func:`~metaterm.terms.run`;
+        typing rules read their children's types with :meth:`type_of`."""
         match term:
             case Bound(k):
                 if not 0 <= k < self.depth:
@@ -164,15 +184,24 @@ class TypeChecker:
                     self.ctx.free_var_types[name] = tm
                 return term
             case MetaApp(name, args):
+                arity = self.ctx.meta_arities.setdefault(name, len(args))
+                if arity != len(args):
+                    raise TypeCheckError(
+                        f"metavariable ?{name} is applied to {arity}"
+                        f" and to {len(args)} arguments"
+                    )
                 if name not in self.ctx.meta_var_types:
                     tm = MetaApp(self.ctx.fresh.fresh())
                     self.ctx.meta_var_types[tm.meta] = INFINITE_UNIVERSE
                     self.ctx.meta_var_types[name] = tm
-                return MetaApp(name, tuple(self.annotate(a) for a in args))
+                typed_args = []
+                for a in args:
+                    typed_args.append((yield self.step(a)))
+                return MetaApp(name, tuple(typed_args))
             case Hole():
                 raise TypeCheckError("holes cannot appear in checked terms")
             case Op(tag, children, _):
-                op = sig.operators.get(tag)
+                op = self.lang.typed_signature.operators.get(tag)
                 if op is None:
                     raise TypeCheckError(f"unknown operator {tag!r}")
                 if len(children) != len(op.slots):
@@ -182,7 +211,7 @@ class TypeChecker:
                 rule = self.lang.infer_rules.get(tag)
                 if rule is None:
                     raise TypeCheckError(f"no typing rule for {tag!r}")
-                return rule(self, term)
+                return (yield rule(self, term))
         raise TypeError(f"not a term: {term!r}")
 
     def should_have_type(self, typed: Term, expected: Term) -> Term:
@@ -258,3 +287,112 @@ class TypeChecker:
 
     def clarify_term(self, term: Term) -> Term:
         return apply_substs(self.lang.typed_signature, self.ctx.substs, term)
+
+
+# ---------------------------------------------------------------------------
+# Rule builders for function and pair types.  ``former`` is the tag of the
+# type former (``Fun``/``Pi``, ``PairTy``/``Sigma``) and ``universe`` the
+# language's type of types.  The former's second component is a scope in
+# dependent languages: ``_scoped`` reads it from the typed signature.
+
+
+def _scoped(tc: TypeChecker, former: str) -> int:
+    return tc.lang.typed_signature.binder_shifts[former][1]
+
+
+def type_former(universe: Term):
+    """A type former: two types, the second under a binder of the first
+    when it is a scope; the second's own type must not depend on it."""
+
+    def rule(tc, node):
+        dom, cod = node.children
+        dom = tc.should_have_type((yield tc.step(dom)), universe)
+        scoped = _scoped(tc, node.tag)
+        with tc.in_scope(dom) if scoped else nullcontext():
+            cod = yield tc.step(cod)
+            cod_ty = tc.type_of(cod)
+        tc.unify_with_expected(tc.non_dep(cod_ty) if scoped else cod_ty, universe)
+        return Op(node.tag, (dom, cod), universe)
+
+    return rule
+
+
+def lam(former: str, universe: Term):
+    """A lambda, with an optional domain annotation before its body."""
+
+    def rule(tc, node):
+        *domain, body = node.children
+        if domain and domain[0] is not None:
+            dom = tc.should_have_type((yield tc.step(domain[0])), universe)
+            domain = [dom]
+        else:
+            dom = tc.fresh_type_meta_var()
+        with tc.in_scope(dom):
+            body = yield tc.step(body)
+            body_ty = tc.type_of(body)
+        if not _scoped(tc, former):
+            body_ty = tc.non_dep(body_ty)
+        return Op(node.tag, (*domain, body), Op(former, (dom, body_ty), universe))
+
+    return rule
+
+
+def app(former: str, universe: Term):
+    """An application; a function whose type is not ``former`` gets one."""
+
+    def rule(tc, node):
+        sig = tc.lang.typed_signature
+        fun = yield tc.step(node.children[0])
+        arg = yield tc.step(node.children[1])
+        fun_ty = tc.whnf(tc.type_of(fun))
+        arg_ty = tc.type_of(arg)
+        scoped = _scoped(tc, former)
+        if type(fun_ty) is Op and fun_ty.tag == former:
+            tc.unify_with_expected(arg_ty, fun_ty.children[0])
+            result = fun_ty.children[1]
+            if scoped:
+                result = instantiate(sig, result, arg)
+        else:
+            result = tc.fresh_type_meta_var()
+            expected = Op(former, (arg_ty, weaken(sig, result, scoped)), universe)
+            tc.unify_with_expected(fun_ty, expected)
+        return Op(node.tag, (fun, arg), result)
+
+    return rule
+
+
+def pair(former: str, universe: Term):
+    """A pair, typed by ``former`` over its components' types."""
+
+    def rule(tc, node):
+        sig = tc.lang.typed_signature
+        a = yield tc.step(node.children[0])
+        b = yield tc.step(node.children[1])
+        ty = (tc.type_of(a), weaken(sig, tc.type_of(b), _scoped(tc, former)))
+        return Op(node.tag, (a, b), Op(former, ty, universe))
+
+    return rule
+
+
+def projection(index: int, former: str, universe: Term):
+    """``First`` (``index`` 0) or ``Second`` (1); a pair whose type is not
+    ``former`` gets one.  A dependent second component is instantiated
+    with the ``First`` projection of the pair."""
+
+    def rule(tc, node):
+        sig = tc.lang.typed_signature
+        pair = yield tc.step(node.children[0])
+        pair_ty = tc.whnf(tc.type_of(pair))
+        scoped = _scoped(tc, former)
+        if not (type(pair_ty) is Op and pair_ty.tag == former):
+            first_ty = tc.fresh_type_meta_var()
+            second_ty = weaken(sig, tc.fresh_type_meta_var(), scoped)
+            expected = Op(former, (first_ty, second_ty), universe)
+            tc.unify_with_expected(pair_ty, expected)
+            pair_ty = expected
+        result = pair_ty.children[index]
+        if index == 1 and scoped:
+            result = instantiate(sig, result, Op("First", (pair,), pair_ty.children[0]))
+        return Op(node.tag, (pair,), result)
+
+    return rule

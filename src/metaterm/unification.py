@@ -26,7 +26,7 @@ from .metavar import (
     metas_of,
     resolve_entries,
 )
-from .reduction import FuelExhausted, reduce
+from .reduction import DEFAULT_REDUCE_FUEL, FuelExhausted, reduce
 from .signature import Shape, Signature, SlotKind, head_slot_of, zip_match
 from .terms import Bound, Hole, MetaApp, Op, Term, rebuild, subterms
 
@@ -91,17 +91,15 @@ class SearchConfig:
 
     ``fuel`` bounds candidate-solution attempts, ``guess_fuel`` the
     guess-then-reduce iterations per simplification, ``reduce_fuel`` the head
-    steps per reduction, ``shape_depth`` the nesting of shape skeletons in
-    candidate generation (keeps each candidate stream finite).
+    steps per reduction.
     """
 
     fuel: int = 1000
     guess_fuel: int = 100
-    reduce_fuel: int = 10_000
-    shape_depth: int = 3
+    reduce_fuel: int = DEFAULT_REDUCE_FUEL
 
     def __post_init__(self) -> None:
-        if min(self.fuel, self.guess_fuel, self.reduce_fuel, self.shape_depth) <= 0:
+        if min(self.fuel, self.guess_fuel, self.reduce_fuel) <= 0:
             raise ValueError("all search budgets must be positive")
 
 
@@ -244,6 +242,10 @@ def simplify(
 # ---------------------------------------------------------------------------
 # Candidate generation for flex-rigid constraints
 
+#: Nesting of shape skeletons in candidate generation (keeps each candidate
+#: stream finite).
+SHAPE_DEPTH = 3
+
 
 def _imitation(
     sig: Signature, c: Constraint, supply: FreshSupply
@@ -276,14 +278,12 @@ def _imitation(
     return None if flex.meta in imitation.metas else imitation
 
 
-def candidates(
-    lang, c: Constraint, cfg: SearchConfig, supply: FreshSupply
-) -> Iterator[MetaAbs]:
+def candidates(lang, c: Constraint, supply: FreshSupply) -> Iterator[MetaAbs]:
     """Ordered candidate solutions for a flex-rigid constraint.
 
     Order: projections onto the metavariable's parameters, shape skeletons
     over those projections, imitation of the rigid head, then progressively
-    deeper shape skeletons (finite: nesting is bounded by ``shape_depth``).
+    deeper shape skeletons (finite: nesting is bounded by :data:`SHAPE_DEPTH`).
     Imitation is tried only after projection-filled shapes so that solutions
     that actually use the parameters are preferred over constant ones.
     """
@@ -311,7 +311,7 @@ def candidates(
             yield shaped(shape, imitation)
         level.append(imitation)
 
-    for depth in range(cfg.shape_depth):
+    for depth in range(SHAPE_DEPTH):
         level = [shaped(shape, inner) for shape in sig.shapes for inner in level]
         if depth:
             yield from level
@@ -385,7 +385,7 @@ def _search(
             picked = flex_rigid[0]
             assert isinstance(picked.lhs, MetaApp)
             stack.append(
-                _ChoicePoint(s, cs, picked.lhs.meta, candidates(lang, picked, cfg, supply))
+                _ChoicePoint(s, cs, picked.lhs.meta, candidates(lang, picked, supply))
             )
 
         # Advance to the next untried candidate, backtracking as needed.

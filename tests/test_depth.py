@@ -1,23 +1,27 @@
 """Deep terms on the main thread, and no process-wide side effects.
 
-Parsing, reduction, term walks and printing keep their own stacks, so a
-fresh interpreter at the default recursion limit handles terms thousands
-of levels deep.  The stages that still recurse (the type checker, and
-structural equality of terms) report overly deep input as undetermined
-(exit 2) rather than with a traceback.
+Parsing, reduction, term walks, printing, type checking and term equality
+keep their own stacks, so a fresh interpreter at the default recursion
+limit handles terms thousands of levels deep.
 """
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import subprocess
 import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 from metaterm import (
     LANGUAGES,
+    Free,
     MetaSubstitution,
+    Op,
     TypeChecker,
     normal_form,
     parse_constraint,
@@ -29,10 +33,11 @@ from metaterm import (
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def metaterm(*argv: str) -> subprocess.CompletedProcess:
+def metaterm(*argv: str, stdin: str | None = None) -> subprocess.CompletedProcess:
     """Run the CLI in a fresh interpreter (default recursion limit)."""
     return subprocess.run(
         [sys.executable, "-m", "metaterm", *argv],
+        input=stdin,
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -84,13 +89,58 @@ def test_omega_is_undetermined():
     assert result.stderr == "undetermined: no WHNF within 10000 head steps\n"
 
 
-def test_recursive_type_checker_reports_depth_as_undetermined():
-    body = "f (" * 999 + "f x" + ")" * 999
+def test_deep_stlc_infer():
+    body = "f (" * 599 + "f x" + ")" * 599
     result = metaterm("--lang", "stlc", "infer", rf"\f. \x. {body}")
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.startswith("undetermined:")
+    expected = "(?t2[] -> ?t3[]) -> ?t2[] -> ?t3[]\n"
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
+
+
+def test_deep_unify_of_equal_terms():
+    side = "f (" * 599 + "f x" + ")" * 599
+    result = metaterm("unify", stdin=f"{side} =?= {side}\n")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "<a, " * 600 + "a" + ">" * 600, ":", "b"),  # unification failure
+        ("infer", r"\A. \(x : " + "A * " * 399 + "A). x"),  # dependency escape
+    ],
+    ids=["check-deep-pair", "infer-deep-escape"],
+)
+def test_deep_type_errors(argv):
+    result = metaterm("--lang", "stlc", *argv)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("type error: ")
     assert len(result.stderr.splitlines()) == 1
+
+
+def test_equality_of_deep_terms():
+    def tower(leaf: str) -> Op:
+        term = Free(leaf)
+        for _ in range(5000):
+            term = Op("App", (Free("f"), term))
+        return term
+
+    assert tower("x") == tower("x")
+    assert tower("x") != tower("y")
+
+
+def test_no_recursion_limit_path_and_one_trampoline():
+    """No stage of the library relies on, or reports, the recursion limit,
+    and ``terms.run`` is the only loop that drives generator steps."""
+    drivers = set()
+    for path in sorted((SRC / "metaterm").rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert not re.search(r"RecursionError|setrecursionlimit|getrecursionlimit", source), path
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef):
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Attribute) and call.attr in ("send", "throw"):
+                        drivers.add((path.name, node.name))
+    assert drivers == {("terms.py", "run")}
 
 
 def test_library_calls_leave_the_process_alone():

@@ -43,6 +43,23 @@ GOLDEN = [
     (['--lang', 'mltt', 'infer', '\\A. \\x. refl x'], None, 0, '(x : ?t1[]) -> (y : ?t2[x]) -> y = y\n', ''),
     (['--lang', 'mltt', 'infer', 'J(A, a, C, d, x, p)'], None, 0, 'C x p\n', ''),
     (['--lang', 'mltt', 'infer', '\\x. ?m[x]'], None, 0, '?t1[] -> ?t2[]\n', ''),
+    # The fallback branches of the shared typing rules, in both typed languages.
+    (['--lang', 'stlc', 'infer', '<a, b> c'], None, 1, '', 'type error: cannot unify types in ?t1[] * ?t2[] =?= ?t3[] -> ?t4[]\n'),
+    (['--lang', 'mltt', 'infer', '<a, b> c'], None, 1, '', 'type error: cannot unify types in ?t1[] * ?t2[] =?= ?t3[] -> ?t4[]\n'),
+    (['--lang', 'mltt', 'infer', 'refl a b'], None, 1, '', 'type error: cannot unify types in a = a =?= ?t2[] -> ?t3[]\n'),
+    (['--lang', 'mltt', 'infer', '\\f. \\x. f x'], None, 0, '(x : ?t2[?t4[]] -> ?t3[?t4[], ?t5[]]) -> (y : ?t2[x]) -> ?t3[x, y]\n', ''),
+    (['--lang', 'stlc', 'infer', '\\p. second p'], None, 0, '?t2[] * ?t3[] -> ?t3[]\n', ''),
+    (['--lang', 'mltt', 'infer', '\\p. second p'], None, 0, '(x : ?t2[?t4[]] * ?t3[?t4[]]) -> ?t3[x]\n', ''),
+    (['--lang', 'stlc', 'infer', 'first (\\x. x)'], None, 1, '', 'type error: cannot unify types in ?t1[] -> ?t1[] =?= ?t2[] * ?t3[]\n'),
+    (['--lang', 'mltt', 'infer', 'first (\\x. x)'], None, 1, '', 'type error: cannot unify types in ?t1[] -> ?t1[] =?= ?t2[] * ?t3[]\n'),
+    (['--lang', 'stlc', 'infer', '\\(f : A -> B). \\(x : A). f x'], None, 0, '(A -> B) -> A -> B\n', ''),
+    (['--lang', 'stlc', 'infer', '\\(x : <a, b>). x'], None, 1, '', 'type error: cannot unify types in ?t1[] * ?t2[] =?= U\n'),
+    (['--lang', 'stlc', 'infer', '\\x. \\(y : x). y'], None, 1, '', "type error: inferred type 'x0 -> x0' depends on its bound variable x0\n"),
+    (['--lang', 'stlc', 'infer', 'A * <a, b>'], None, 1, '', 'type error: cannot unify types in ?t2[] * ?t3[] =?= U\n'),
+    (['--lang', 'mltt', 'infer', 'A * B'], None, 0, 'U\n', ''),
+    (['--lang', 'mltt', 'infer', '(x : A) * refl x'], None, 1, '', "type error: inferred type 'x0 = x0' depends on its bound variable x0\n"),
+    (['--lang', 'mltt', 'infer', '<a, b> * B'], None, 1, '', 'type error: cannot unify types in ?t1[] * ?t2[] =?= U\n'),
+    (['--lang', 'stlc', 'check', '<a, b>', ':', 'A * B'], None, 0, 'A * B\n', ''),
 ]
 
 

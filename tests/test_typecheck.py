@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from metaterm import typecheck
 from metaterm.languages import LANGUAGES
-from metaterm.metavar import ArityMismatch, apply_substs, metas_of
+from metaterm.metavar import apply_substs, metas_of
 from metaterm.reduction import normal_form
 from metaterm.syntax import UnknownConstruct, parse_term, print_term
 from metaterm.terms import Bound, Free, MetaApp, Op, well_scoped
@@ -167,6 +167,14 @@ class TestScopeHandling:
             # occurrence under an inner binder (shifted index)
             tc.non_dep(Op("Lam", (None, Bound(1))))
 
+    @pytest.mark.parametrize("lang", [stlc, mltt], ids=["stlc", "mltt"])
+    def test_scopes_unwind_after_an_error_under_binders(self, lang):
+        tc = TypeChecker(lang)
+        with pytest.raises(UnificationFailure) as caught:
+            tc.infer(parse_term(r"\x. \y. first (\z. z)", lang))
+        assert caught.value.constraint.binders == 2  # raised under both binders
+        assert tc.depth == 0
+
     def test_fresh_type_meta_args(self):
         stlc_tc = TypeChecker(stlc)
         mltt_tc = TypeChecker(mltt)
@@ -229,6 +237,12 @@ class TestMLTT:
         assert same_type(
             printed, "(A : U) -> (a : A) -> (b : A) -> (a = b) -> b = a", mltt
         )
+
+    def test_mixed_arities_are_a_type_error(self):
+        tc = TypeChecker(mltt)
+        with pytest.raises(TypeCheckError) as caught:
+            tc.infer(parse_term("J(a, b, ?m[?m[]], a, a, a)", mltt))
+        assert str(caught.value) == "metavariable ?m is applied to 1 and to 0 arguments"
 
     def test_j_wrong_motive_rejected(self):
         tc = TypeChecker(mltt)
@@ -319,7 +333,7 @@ class TestSubstitutionReads:
         tc = TypeChecker(lang, PROPERTY_BUDGETS)
         try:
             typed = tc.infer(term)
-        except (TypeCheckError, ArityMismatch):
+        except TypeCheckError:
             return
         assert metas_of(typed).isdisjoint(tc.ctx.substs.entries)
         # The input itself, with the metavariables inference solved replaced.
