@@ -16,7 +16,6 @@ from .metavar import (
 from .reduction import FuelExhausted, normal_form, reduce, sum_reduce
 from .signature import (
     Operator,
-    Shape,
     Signature,
     SlotKind,
     annotate_signature,
@@ -69,7 +68,6 @@ __all__ = [
     "reduce",
     "sum_reduce",
     "Operator",
-    "Shape",
     "Signature",
     "SlotKind",
     "annotate_signature",

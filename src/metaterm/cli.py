@@ -95,7 +95,7 @@ def _show(lang, term: Term, args: argparse.Namespace) -> str:
 def _show_type(lang, ty: Term, args: argparse.Namespace) -> str:
     """Types are displayed fully normalized (they may compute) and with
     annotations suppressed."""
-    plain = erase(normal_form(ty, lang.typed_reducer, args.reduce_fuel))
+    plain = erase(normal_form(ty, lang.reducer, args.reduce_fuel))
     return _show(lang, plain, args)
 
 
@@ -116,8 +116,9 @@ def _meta_arities(terms: Iterable[Term]) -> dict[str, int]:
 
 def _run_reduce(lang, args: argparse.Namespace) -> int:
     term = parse_term(args.expr, lang)
+    cfg = _config(args)
     try:
-        result = reduce(term, lang.reducer, args.reduce_fuel)
+        result = reduce(term, lang.reducer, cfg.reduce_fuel)
     except FuelExhausted as exc:
         print(f"undetermined: {exc}", file=sys.stderr)
         return EXIT_UNDETERMINED

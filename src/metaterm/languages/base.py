@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Generator, Mapping
 
 from ..reduction import Reducer
-from ..signature import Signature
-from ..terms import Op, Term
+from ..signature import Signature, SignatureError
+from ..terms import Op
 
 # rule(checker, plain node): a generator step of ``terms.run`` that gets each
 # annotated child as ``(yield checker.step(child))`` and returns the node
@@ -19,24 +20,36 @@ InferRule = Callable[[object, Op], Generator]
 class Language:
     """A concrete object language.
 
-    ``signature``/``reducer`` drive plain reduction and unification;
-    ``typed_signature``/``typed_reducer`` are the annotated counterparts
-    used during type inference.  ``infer_rules`` is empty for untyped
-    languages.  ``dependent_types`` controls whether fresh type
-    metavariables abstract over the bound variables in scope.
+    ``reducer`` is the one reduction rule table.  It is built over
+    ``typed_signature`` and reduces plain terms as well: the typed
+    signature only adds the nullary annotation terminator.  The unifier
+    reads its guesses off the rules (see :mod:`metaterm.reduction`).
+    ``shapes`` lists eliminator tags of ``reducer``; the unifier tries
+    their skeletons as candidates, the head in the rule's principal slot.
+    ``signature`` drives plain unification and ``typed_signature`` the
+    unification of annotated terms (:attr:`typed_view`).  ``infer_rules``
+    is empty for untyped languages.
     """
 
     name: str
     signature: Signature
     reducer: Reducer
     typed_signature: Signature
-    typed_reducer: Reducer
     infer_rules: Mapping[str, InferRule]
-    dependent_types: bool = False
+    shapes: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        for tag in self.shapes:
+            if tag not in self.signature.operators or tag not in self.reducer:
+                raise SignatureError(f"shape {tag} is not an eliminator of {self.name}")
+
+    @property
+    def typed_reducer(self) -> Reducer:
+        """Read-only alias of ``reducer``, which also reduces typed terms."""
+        return self.reducer
+
+    @cached_property
     def typed_view(self) -> "Language":
         """The same language seen through its annotated signature, for
         running unification over typed terms."""
-        return replace(
-            self, signature=self.typed_signature, reducer=self.typed_reducer
-        )
+        return replace(self, signature=self.typed_signature)

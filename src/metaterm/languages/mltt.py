@@ -7,8 +7,8 @@ universe, and the two tags are identified during matching.
 from __future__ import annotations
 
 from .. import typecheck
-from ..reduction import Reducer, beta, identity_elim, projection
-from ..signature import Shape, SlotKind, annotate_signature, make_signature
+from ..reduction import beta, identity_elim, projection
+from ..signature import SlotKind, annotate_signature, make_signature
 from ..terms import Bound, Op, weaken
 from ..typecheck import INFINITE_UNIVERSE, erase
 from .base import Language
@@ -40,27 +40,7 @@ signature = make_signature(
         (REFL, [SlotKind.TERM]),
         (J, [SlotKind.TERM] * 6),  # J(A, a, C, d, x, p)
     ],
-    guess_table={
-        (APP, 0): (LAM,),
-        (FIRST, 0): (PAIR,),
-        (SECOND, 0): (PAIR,),
-        (J, 5): (REFL,),
-    },
-    shapes=(
-        Shape(APP, (True, False)),
-        Shape(FIRST, (True,)),
-        Shape(SECOND, (True,)),
-    ),
 )
-
-
-def make_rules(sig) -> Reducer:
-    return {
-        APP: beta(sig),
-        FIRST: projection(0),
-        SECOND: projection(1),
-        J: identity_elim(),
-    }
 
 
 # -- typing rules ----------------------------------------------------------
@@ -150,9 +130,13 @@ typed_signature = annotate_signature(signature, universe_tag=UNIVERSE)
 language = Language(
     name="mltt",
     signature=signature,
-    reducer=make_rules(signature),
+    reducer={
+        APP: beta(typed_signature),
+        FIRST: projection(0),
+        SECOND: projection(1),
+        J: identity_elim(),
+    },
     typed_signature=typed_signature,
-    typed_reducer=make_rules(typed_signature),
     infer_rules=infer_rules,
-    dependent_types=True,
+    shapes=(APP, FIRST, SECOND),
 )

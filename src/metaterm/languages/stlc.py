@@ -8,8 +8,8 @@ compute (nothing stops an application from appearing in type position).
 from __future__ import annotations
 
 from .. import typecheck
-from ..reduction import Reducer, beta, projection
-from ..signature import Shape, SlotKind, annotate_signature, make_signature
+from ..reduction import beta, projection
+from ..signature import SlotKind, annotate_signature, make_signature
 from .base import Language
 
 FUN = "Fun"
@@ -31,21 +31,7 @@ signature = make_signature(
         (FIRST, [SlotKind.TERM]),
         (SECOND, [SlotKind.TERM]),
     ],
-    guess_table={
-        (APP, 0): (LAM,),
-        (FIRST, 0): (PAIR,),
-        (SECOND, 0): (PAIR,),
-    },
-    shapes=(
-        Shape(APP, (True, False)),
-        Shape(FIRST, (True,)),
-        Shape(SECOND, (True,)),
-    ),
 )
-
-
-def make_rules(sig) -> Reducer:
-    return {APP: beta(sig), FIRST: projection(0), SECOND: projection(1)}
 
 
 # -- typing rules ----------------------------------------------------------
@@ -67,8 +53,8 @@ typed_signature = annotate_signature(signature)
 language = Language(
     name="stlc",
     signature=signature,
-    reducer=make_rules(signature),
+    reducer={APP: beta(typed_signature), FIRST: projection(0), SECOND: projection(1)},
     typed_signature=typed_signature,
-    typed_reducer=make_rules(typed_signature),
     infer_rules=infer_rules,
+    shapes=(APP, FIRST, SECOND),
 )

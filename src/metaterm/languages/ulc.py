@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..reduction import beta
-from ..signature import Shape, SlotKind, annotate_signature, make_signature
+from ..signature import SlotKind, annotate_signature, make_signature
 from .base import Language
 
 LAM = "Lam"
@@ -15,8 +15,6 @@ signature = make_signature(
         (LAM, [SlotKind.SCOPE]),
         (APP, [SlotKind.TERM, SlotKind.TERM]),
     ],
-    guess_table={(APP, 0): (LAM,)},
-    shapes=(Shape(APP, (True, False)),),
 )
 
 
@@ -25,8 +23,8 @@ typed_signature = annotate_signature(signature)
 language = Language(
     name="ulc",
     signature=signature,
-    reducer={APP: beta(signature)},
+    reducer={APP: beta(typed_signature)},
     typed_signature=typed_signature,
-    typed_reducer={APP: beta(typed_signature)},
     infer_rules={},
+    shapes=(APP,),
 )

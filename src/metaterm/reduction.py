@@ -9,8 +9,9 @@ attribute ``principal``:
 - ``head`` is the weak head normal form of ``node.children[principal]``;
 - the result is the contractum, or ``None`` when ``node`` is stuck.
 
-A wrapper around a rule must carry ``principal`` over, as
-``functools.wraps`` does.  :func:`reduce` walks the head spine itself,
+A wrapper around a rule must carry ``principal`` and, where the rule has
+one, ``intro`` over (the unifier reads both, see below), as
+``functools.wraps`` on a :class:`Rule` does.  :func:`reduce` walks the head spine itself,
 with an explicit stack: it reduces the principal child first, then calls
 the rule once, then reduces the contractum in the node's place.  A stuck
 node keeps its reduced principal child.  Rules never call back into the
@@ -18,6 +19,12 @@ reducer; the loop reduces every contractum with the whole table, so tables
 for disjoint signatures merged by :func:`sum_reduce` still reduce through
 each other's constructions.  :class:`Rule` and the builders :func:`beta`,
 :func:`projection` and :func:`identity_elim` cover the bundled languages.
+
+The table is also all the unifier knows about computation.  A rule with an
+``intro`` attribute, as :class:`Rule` has, tells it what to guess for a
+metavariable in the principal slot (an ``intro`` skeleton), and a
+language's shapes are eliminator tags whose head sits in that same slot
+(see :mod:`metaterm.unification`).
 
 Metavariable applications reduce strictly: their arguments are reduced,
 the application itself remains.

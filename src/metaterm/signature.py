@@ -1,13 +1,15 @@
-"""Language descriptors: operator tables, guess tables, shapes.
+"""Language descriptors: operator tables and node matching.
 
 A :class:`Signature` is a runtime description of an object language's
-syntactic constructions.  Everything here is immutable after construction
-and safe to share.
+syntactic constructions.  How terms compute, and with it which guesses and
+heads the unifier uses, is the reduction rule table's business (see
+:mod:`metaterm.reduction`).  Everything here is immutable after
+construction and safe to share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
@@ -33,14 +35,6 @@ class Operator:
     slots: tuple[SlotKind, ...]
 
 
-@dataclass(frozen=True)
-class Shape:
-    """Skeleton operator with each slot marked as head or not."""
-
-    tag: str
-    has_head: tuple[bool, ...]
-
-
 # Paired children of two matched nodes: (slot kind, left child, right child).
 MatchedSlots = list[tuple[SlotKind, "Term", "Term"]]
 
@@ -51,38 +45,22 @@ class SignatureError(ValueError):
 
 @dataclass(frozen=True)
 class Signature:
-    """Operator table plus the per-language unification capability tables.
+    """Operator table plus the nullary tags identified during matching.
 
-    ``guess_table`` maps (operator tag, slot index) to the operator tags a
-    metavariable in that slot may be expanded to (each guess is one operator,
-    every slot of it filled with a fresh metavariable application).
-
-    ``tag_equivalences`` lists sets of nullary tags identified during
-    matching; used by typed signatures to reconcile the annotation
-    terminator with an object-language universe (type-in-type).
+    ``tag_equivalences`` lists sets of nullary tags that match each other;
+    used by typed signatures to reconcile the annotation terminator with an
+    object-language universe (type-in-type).
     """
 
     name: str
     operators: dict[str, Operator]
-    guess_table: dict[tuple[str, int], tuple[str, ...]] = field(default_factory=dict)
-    shapes: tuple[Shape, ...] = ()
     tag_equivalences: tuple[frozenset[str], ...] = ()
-    typed: bool = False
 
-    def __post_init__(self) -> None:
-        for (tag, slot), guesses in self.guess_table.items():
-            op = self.operators.get(tag)
-            if op is None or slot >= len(op.slots):
-                raise SignatureError(f"guess table entry for unknown slot {tag}/{slot}")
-            for g in guesses:
-                if g not in self.operators:
-                    raise SignatureError(f"guess skeleton names unknown operator {g}")
-        for shape in self.shapes:
-            op = self.operators.get(shape.tag)
-            if op is None or len(shape.has_head) != len(op.slots):
-                raise SignatureError(f"shape for unknown operator {shape.tag}")
-            if not any(shape.has_head):
-                raise SignatureError(f"shape {shape.tag} has no head slot")
+    @cached_property
+    def typed(self) -> bool:
+        """Whether nodes carry a type annotation: the signature has the
+        annotation terminator (see :func:`annotate_signature`)."""
+        return INF_UNIVERSE_TAG in self.operators
 
     @cached_property
     def binder_shifts(self) -> dict[str, tuple[int, ...]]:
@@ -114,10 +92,7 @@ def sum_signature(left: Signature, right: Signature, name: str | None = None) ->
     return Signature(
         name=name or f"{left.name}+{right.name}",
         operators={**left.operators, **right.operators},
-        guess_table={**left.guess_table, **right.guess_table},
-        shapes=left.shapes + right.shapes,
         tag_equivalences=left.tag_equivalences + right.tag_equivalences,
-        typed=left.typed or right.typed,
     )
 
 
@@ -137,7 +112,6 @@ def annotate_signature(sig: Signature, universe_tag: str | None = None) -> Signa
         name=f"{sig.name}:typed",
         operators=operators,
         tag_equivalences=equivalences,
-        typed=True,
     )
 
 
@@ -171,16 +145,3 @@ def zip_match(sig: Signature, left: "Op", right: "Op") -> Optional[tuple[str, Ma
             slots.append((SlotKind.TERM, left.ann, right.ann))
     return (left.tag, slots)
 
-
-def guesses_for(sig: Signature, node: "Op") -> list[tuple[str, ...]]:
-    """Per-slot guess skeleton tags for the node's operator (empty if none)."""
-    op = sig.operators[node.tag]
-    return [sig.guess_table.get((node.tag, i), ()) for i in range(len(op.slots))]
-
-
-def head_slot_of(sig: Signature, tag: str) -> int | None:
-    """Index of the first head-marked slot of ``tag``, per the shape table."""
-    for shape in sig.shapes:
-        if shape.tag == tag:
-            return shape.has_head.index(True)
-    return None

@@ -21,7 +21,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Generator
 
-from .metavar import FreshSupply, MetaSubstitution, apply_substs
+from .metavar import FreshSupply, MetaSubstitution, apply_substs, metas_of
 from .reduction import FuelExhausted as ReductionFuelExhausted
 from .reduction import reduce
 from .signature import INF_UNIVERSE_TAG
@@ -110,9 +110,9 @@ class TypeInfo:
 class TypeChecker:
     """Bottom-up inference engine for one language.
 
-    ``lang`` must provide ``typed_signature``, ``typed_reducer``,
-    ``infer_rules`` (tag -> rule, see the module docstring) and
-    ``dependent_types``.
+    ``lang`` must provide ``typed_signature``, ``reducer``,
+    ``typed_view`` and ``infer_rules`` (tag -> rule, see the module
+    docstring).
     """
 
     def __init__(self, lang, cfg: SearchConfig = SearchConfig()):
@@ -137,10 +137,11 @@ class TypeChecker:
         finally:
             self.ctx.bound_var_types.pop()
 
-    def fresh_type_meta_var(self) -> MetaApp:
-        """A fresh type metavariable, applied to all bound variables in
-        dependently typed languages and to nothing otherwise."""
-        if self.lang.dependent_types:
+    def fresh_type_meta_var(self, dependent: int) -> MetaApp:
+        """A fresh type metavariable, applied to all bound variables when
+        ``dependent`` (the type former's codomain is a scope, see
+        :func:`_scoped`) and to nothing otherwise."""
+        if dependent:
             args = tuple(Bound(i) for i in range(self.depth - 1, -1, -1))
         else:
             args = ()
@@ -155,12 +156,15 @@ class TypeChecker:
         substitution applied.
 
         Variables stay unannotated; free variables and metavariables are
-        registered with fresh type metavariables on first encounter.
+        registered with fresh type metavariables on first encounter, named
+        apart from the metavariables of the input.
         """
+        self.ctx.fresh.taken |= metas_of(term)
         return self.clarify_term(self.annotate(term))
 
     def check(self, term: Term, expected_type: Term) -> Term:
         """Infer both, then unify the inferred type with the expected one."""
+        self.ctx.fresh.taken |= metas_of(term) | metas_of(expected_type)
         expected = self.annotate(expected_type)
         return self.clarify_term(self.should_have_type(self.annotate(term), expected))
 
@@ -258,7 +262,7 @@ class TypeChecker:
         new = Constraint(actual, expected, self.depth, names)
         try:
             solution = unify(
-                self.lang.typed_view(),
+                self.lang.typed_view,
                 self.ctx.substs,
                 [*self.ctx.constraints, new],
                 self.cfg,
@@ -276,12 +280,10 @@ class TypeChecker:
         self.ctx.constraints = list(solution.residual)
 
     def whnf(self, term: Term) -> Term:
-        """Weak head normal form under the typed reducer, substitutions
-        applied first (types may compute)."""
+        """Weak head normal form, substitutions applied first (types may
+        compute)."""
         try:
-            return reduce(
-                self.clarify_term(term), self.lang.typed_reducer, self.cfg.reduce_fuel
-            )
+            return reduce(self.clarify_term(term), self.lang.reducer, self.cfg.reduce_fuel)
         except ReductionFuelExhausted as exc:
             raise FuelExhausted(str(exc)) from exc
 
@@ -326,7 +328,7 @@ def lam(former: str, universe: Term):
             dom = tc.should_have_type((yield tc.step(domain[0])), universe)
             domain = [dom]
         else:
-            dom = tc.fresh_type_meta_var()
+            dom = tc.fresh_type_meta_var(_scoped(tc, former))
         with tc.in_scope(dom):
             body = yield tc.step(body)
             body_ty = tc.type_of(body)
@@ -353,7 +355,7 @@ def app(former: str, universe: Term):
             if scoped:
                 result = instantiate(sig, result, arg)
         else:
-            result = tc.fresh_type_meta_var()
+            result = tc.fresh_type_meta_var(scoped)
             expected = Op(former, (arg_ty, weaken(sig, result, scoped)), universe)
             tc.unify_with_expected(fun_ty, expected)
         return Op(node.tag, (fun, arg), result)
@@ -385,8 +387,8 @@ def projection(index: int, former: str, universe: Term):
         pair_ty = tc.whnf(tc.type_of(pair))
         scoped = _scoped(tc, former)
         if not (type(pair_ty) is Op and pair_ty.tag == former):
-            first_ty = tc.fresh_type_meta_var()
-            second_ty = weaken(sig, tc.fresh_type_meta_var(), scoped)
+            first_ty = tc.fresh_type_meta_var(scoped)
+            second_ty = weaken(sig, tc.fresh_type_meta_var(scoped), scoped)
             expected = Op(former, (first_ty, second_ty), universe)
             tc.unify_with_expected(pair_ty, expected)
             pair_ty = expected

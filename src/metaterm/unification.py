@@ -3,7 +3,10 @@
 Constraints are simplified by reduction, structural guesses for applied
 metavariables, and node matching; remaining flex-rigid constraints are
 solved by trying candidate substitutions (projections, imitation of the
-rigid head, shape skeletons) with backtracking.  Flex-flex constraints are
+rigid head, shape skeletons) with backtracking.  Guesses and shapes come
+from the language's reduction rules: a metavariable in an eliminator's
+principal slot is guessed to be the rule's ``intro`` node, and a shape is
+an eliminator with its head in that slot.  Flex-flex constraints are
 returned unsolved.  The procedure is semi-decidable: a fuel budget turns
 non-termination into an explicit "undetermined" outcome, distinct from
 definite failure.
@@ -27,7 +30,7 @@ from .metavar import (
     resolve_entries,
 )
 from .reduction import DEFAULT_REDUCE_FUEL, FuelExhausted, reduce
-from .signature import Shape, Signature, SlotKind, head_slot_of, zip_match
+from .signature import Signature, SlotKind, zip_match
 from .terms import Bound, Hole, MetaApp, Op, Term, rebuild, subterms
 
 
@@ -111,15 +114,10 @@ class Solution:
     residual: tuple[Constraint, ...] = ()
 
 
-def head_of(sig: Signature, term: Term) -> Term:
-    """Descend through head-marked slots (per the shape table)."""
-    while isinstance(term, Op):
-        idx = head_slot_of(sig, term.tag)
-        if idx is None:
-            return term
-        child = term.children[idx]
-        assert child is not None
-        term = child
+def head_of(lang, term: Term) -> Term:
+    """Descend through the principal slots of the language's shapes."""
+    while type(term) is Op and term.tag in lang.shapes:
+        term = term.children[lang.reducer[term.tag].principal]
     return term
 
 
@@ -132,16 +130,16 @@ def _skeleton(
     tag: str,
     arity: int,
     supply: FreshSupply,
-    has_head: tuple[bool, ...] = (),
+    head_slot: int | None = None,
     head: Term | None = None,
 ) -> MetaAbs:
-    """One ``tag`` node over ``arity`` holes: ``head`` in the slots marked
-    by ``has_head``, a fresh metavariable application in every other slot
+    """One ``tag`` node over ``arity`` holes: ``head`` in slot
+    ``head_slot``, a fresh metavariable application in every other slot
     (with the slot's binder as an extra first argument in scope slots)."""
     holes = tuple(Hole(i) for i in range(arity))
     children: list[Term | None] = []
     for i, kind in enumerate(sig.operators[tag].slots):
-        if i < len(has_head) and has_head[i]:
+        if i == head_slot:
             children.append(head)
         elif kind is SlotKind.OPT_TERM:
             children.append(None)
@@ -153,16 +151,16 @@ def _skeleton(
     return MetaAbs(arity, Op(tag, tuple(children), ann))
 
 
-def _collect_guesses(
-    sig: Signature, term: Term, supply: FreshSupply, out: dict[str, MetaAbs]
-) -> None:
+def _collect_guesses(lang, term: Term, supply: FreshSupply, out: dict[str, MetaAbs]) -> None:
     """Record a guess substitution for every applied metavariable sitting in
-    a slot that has guess-table entries."""
+    the principal slot of an eliminator: a skeleton of the node its rule
+    contracts against (the rule's ``intro``)."""
     for t, _, parent, slot in subterms(term):
         if type(t) is MetaApp and t.meta not in out and type(parent) is Op:
-            guesses = sig.guess_table.get((parent.tag, slot))
-            if guesses:
-                out[t.meta] = _skeleton(sig, guesses[0], len(t.args), supply)
+            rule = lang.reducer.get(parent.tag)
+            intro = getattr(rule, "intro", None)
+            if intro is not None and rule.principal == slot:
+                out[t.meta] = _skeleton(lang.signature, intro, len(t.args), supply)
 
 
 def simplify_all(
@@ -188,8 +186,8 @@ def simplify_all(
         rhs = reduce(apply_substs(sig, substs, c.rhs), lang.reducer, cfg.reduce_fuel)
 
         guesses: dict[str, MetaAbs] = {}
-        _collect_guesses(sig, lhs, supply, guesses)
-        _collect_guesses(sig, rhs, supply, guesses)
+        _collect_guesses(lang, lhs, supply, guesses)
+        _collect_guesses(lang, rhs, supply, guesses)
         if guesses:
             guess_budget -= 1
             if guess_budget < 0:
@@ -247,9 +245,7 @@ def simplify(
 SHAPE_DEPTH = 3
 
 
-def _imitation(
-    sig: Signature, c: Constraint, supply: FreshSupply
-) -> MetaAbs | None:
+def _imitation(lang, c: Constraint, supply: FreshSupply) -> MetaAbs | None:
     """Copy of the rigid head with universally bound variables replaced by
     fresh metavariable applications over the flex side's parameters.
 
@@ -261,7 +257,7 @@ def _imitation(
     assert isinstance(flex, MetaApp)
     n = len(flex.args)
     holes = tuple(Hole(i) for i in range(n))
-    head = head_of(sig, c.rhs)
+    head = head_of(lang, c.rhs)
     if isinstance(head, Bound):
         return None
     replacements: dict[int, MetaApp] = {}
@@ -274,7 +270,7 @@ def _imitation(
             replacements[forall_index] = MetaApp(supply.fresh(), holes)
         return replacements[forall_index]
 
-    imitation = MetaAbs(n, rebuild(head, var, sig=sig))
+    imitation = MetaAbs(n, rebuild(head, var, sig=lang.signature))
     return None if flex.meta in imitation.metas else imitation
 
 
@@ -294,25 +290,25 @@ def candidates(lang, c: Constraint, supply: FreshSupply) -> Iterator[MetaAbs]:
 
     projections = [MetaAbs(n, Hole(j)) for j in range(n)]
 
-    def shaped(shape: Shape, inner: MetaAbs) -> MetaAbs:
-        return _skeleton(sig, shape.tag, n, supply, shape.has_head, inner.body)
+    def shaped(tag: str, inner: MetaAbs) -> MetaAbs:
+        return _skeleton(sig, tag, n, supply, lang.reducer[tag].principal, inner.body)
 
     yield from projections
 
-    for shape in sig.shapes:
+    for shape in lang.shapes:
         for inner in projections:
             yield shaped(shape, inner)
 
-    imitation = _imitation(sig, c, supply)
+    imitation = _imitation(lang, c, supply)
     level: list[MetaAbs] = list(projections)
     if imitation is not None:
         yield imitation
-        for shape in sig.shapes:
+        for shape in lang.shapes:
             yield shaped(shape, imitation)
         level.append(imitation)
 
     for depth in range(SHAPE_DEPTH):
-        level = [shaped(shape, inner) for shape in sig.shapes for inner in level]
+        level = [shaped(shape, inner) for shape in lang.shapes for inner in level]
         if depth:
             yield from level
 

@@ -8,9 +8,11 @@ from metaterm.metavar import MetaSubstitution
 from metaterm.unification import Constraint, SearchConfig, Solution, unify, verify_solution
 
 
-def bare_language(signature, reducer=None):
+def bare_language(signature, reducer=None, shapes=()):
     """A signature with no reduction/typing, enough for unify and friends."""
-    return SimpleNamespace(signature=signature, reducer=reducer or {}, name=signature.name)
+    return SimpleNamespace(
+        signature=signature, reducer=reducer or {}, shapes=shapes, name=signature.name
+    )
 
 
 def solve_checked(

@@ -57,6 +57,12 @@ class TestReduce:
         code, out, _ = run(["--output", "ast", "reduce", "a"], capsys)
         assert code == EXIT_OK and out.strip() == "Free(name='a')"
 
+    @pytest.mark.parametrize("fuel", ["-3", "0"])
+    def test_non_positive_budget_is_usage(self, fuel, capsys):
+        code, out, err = run(["--reduce-fuel", fuel, "reduce", r"(\x. x) a"], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: all search budgets must be positive\n"
+
 
 class TestUnify:
     def test_stdin_projection(self, capsys, monkeypatch):
@@ -158,6 +164,10 @@ class TestInfer:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: metavariable ?m is applied to 1 and to 0 arguments\n"
 
+    def test_fresh_type_metas_avoid_input_names(self, capsys):
+        code, out, _ = run(["--lang", "stlc", "infer", r"\x. ?t1[]"], capsys)
+        assert (code, out) == (EXIT_OK, "?t2[] -> ?t3[]\n")
+
     def test_ulc_has_no_types(self, capsys):
         code, _, err = run(["infer", r"\x. x"], capsys)
         assert code == EXIT_USAGE
@@ -179,6 +189,12 @@ class TestCheck:
         )
         assert code == EXIT_FAILURE
         assert "depends on its bound variable" in err
+
+    def test_fresh_type_metas_avoid_expected_type_names(self, capsys):
+        code, out, _ = run(
+            ["--lang", "stlc", "check", r"\x. x", ":", "?t1[] -> ?t2[]"], capsys
+        )
+        assert (code, out) == (EXIT_OK, "?t5[] -> ?t5[]\n")
 
     def test_bad_colon_is_usage(self, capsys):
         code, _, _ = run(["--lang", "stlc", "check", "a", "::", "A"], capsys)

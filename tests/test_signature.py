@@ -7,12 +7,9 @@ import pytest
 from metaterm.languages import LANGUAGES
 from metaterm.signature import (
     INF_UNIVERSE_TAG,
-    Shape,
     SignatureError,
     SlotKind,
     annotate_signature,
-    guesses_for,
-    head_slot_of,
     make_signature,
     sum_signature,
     zip_match,
@@ -30,20 +27,6 @@ def test_make_signature_and_lookup():
     assert sig.operators["C"].slots == ()
 
 
-def test_guess_table_validation():
-    with pytest.raises(SignatureError):
-        make_signature("bad", [("F", [SlotKind.TERM])], guess_table={("F", 5): ("F",)})
-    with pytest.raises(SignatureError):
-        make_signature("bad", [("F", [SlotKind.TERM])], guess_table={("F", 0): ("G",)})
-
-
-def test_shape_validation():
-    with pytest.raises(SignatureError):
-        make_signature("bad", [("F", [SlotKind.TERM])], shapes=(Shape("F", (False,)),))
-    with pytest.raises(SignatureError):
-        make_signature("bad", [("F", [SlotKind.TERM])], shapes=(Shape("G", (True,)),))
-
-
 class TestSum:
     def test_disjoint_union(self):
         a = make_signature("a", [("F", [SlotKind.TERM])])
@@ -56,16 +39,12 @@ class TestSum:
         with pytest.raises(SignatureError):
             sum_signature(a, a)
 
-    def test_preserves_tables(self):
-        s = sum_signature(ulc.signature, make_signature("x", [("X", [])]))
-        assert s.guess_table == ulc.signature.guess_table
-        assert s.shapes == ulc.signature.shapes
-
 
 class TestAnnotate:
     def test_adds_terminator(self):
         assert INF_UNIVERSE_TAG in ulc.typed_signature.operators
         assert ulc.typed_signature.typed
+        assert not ulc.signature.typed
 
     def test_universe_equivalence(self):
         tsig = mltt.typed_signature
@@ -118,10 +97,3 @@ class TestZipMatch:
         right = Op("App", (Free("g"), Free("b")))
         assert zip_match(tsig, left, right) is None
 
-
-def test_guesses_for_and_heads():
-    sig = stlc.signature
-    assert guesses_for(sig, Op("App", (Free("f"), Free("a")))) == [("Lam",), ()]
-    assert guesses_for(sig, Op("First", (Free("p"),))) == [("Pair",)]
-    assert head_slot_of(sig, "App") == 0
-    assert head_slot_of(sig, "Pair") is None

@@ -32,7 +32,7 @@ mltt = LANGUAGES["mltt"]
 
 
 def shown_type(lang, tc: TypeChecker, typed) -> str:
-    ty = erase(normal_form(tc.type_of(typed), lang.typed_reducer))
+    ty = erase(normal_form(tc.type_of(typed), lang.reducer))
     return print_term(lang, ty)
 
 
@@ -180,8 +180,23 @@ class TestScopeHandling:
         mltt_tc = TypeChecker(mltt)
         with stlc_tc.in_scope(Free("A")), mltt_tc.in_scope(Free("A")):
             with stlc_tc.in_scope(Free("B")), mltt_tc.in_scope(Free("B")):
-                assert stlc_tc.fresh_type_meta_var().args == ()
-                assert mltt_tc.fresh_type_meta_var().args == (Bound(1), Bound(0))
+                # whether the function-type former's codomain is a scope
+                dependent = typecheck._scoped(stlc_tc, "Fun")
+                assert stlc_tc.fresh_type_meta_var(dependent).args == ()
+                dependent = typecheck._scoped(mltt_tc, "Pi")
+                assert mltt_tc.fresh_type_meta_var(dependent).args == (Bound(1), Bound(0))
+
+    def test_fresh_type_metas_avoid_input_names_across_calls(self):
+        tc = TypeChecker(stlc)
+        tc.infer(parse_term(r"\x. x", stlc))
+        upcoming = [f"t{tc.ctx.fresh.counter + i}" for i in (1, 2)]  # the next fresh names
+        typed = tc.infer(parse_term(rf"\x. ?{upcoming[0]}[]", stlc))
+        dom, cod = tc.type_of(typed).children
+        assert upcoming[0] not in {dom.meta, cod.meta} and dom != cod
+        upcoming = [f"t{tc.ctx.fresh.counter + i}" for i in (1, 2)]
+        expected = parse_term(f"?{upcoming[0]}[] -> ?{upcoming[1]}[]", stlc)
+        dom, cod = tc.type_of(tc.check(parse_term(r"\x. x", stlc), expected)).children
+        assert dom == cod and dom.meta not in upcoming
 
 
 class TestMLTT:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from metaterm.languages import LANGUAGES
+from metaterm.languages import LANGUAGES, Language
 from metaterm.metavar import FreshSupply, MetaAbs, MetaSubstitution, apply_substs, metas_of
-from metaterm.signature import SlotKind, make_signature
+from metaterm.reduction import Rule
+from metaterm.signature import SignatureError, SlotKind, annotate_signature, make_signature
 from metaterm.syntax import parse_constraint, parse_term
 from metaterm.terms import Bound, Free, Hole, MetaApp, Op
 from metaterm.unification import (
@@ -16,6 +17,7 @@ from metaterm.unification import (
     SearchConfig,
     Undetermined,
     UnificationFailed,
+    _collect_guesses,
     classify,
     head_of,
     simplify,
@@ -79,15 +81,57 @@ class TestSimplify:
 class TestHeadOf:
     def test_descends_head_slots(self):
         t = parse_term("f a b", ulc)
-        assert head_of(ulc.signature, t) == Free("f")
+        assert head_of(ulc, t) == Free("f")
 
     def test_projection_heads(self):
         t = parse_term("first (second p)", stlc)
-        assert head_of(stlc.signature, t) == Free("p")
+        assert head_of(stlc, t) == Free("p")
 
     def test_non_shaped_operator_is_its_own_head(self):
         t = parse_term("<a, b>", stlc)
-        assert head_of(stlc.signature, t) == t
+        assert head_of(stlc, t) == t
+
+
+# The guesses and head slots the bundled languages' search relies on, as
+# they were declared by hand before being read off the reduction rules.
+DECLARED_GUESSES = {
+    "ulc": {("App", 0): "Lam"},
+    "stlc": {("App", 0): "Lam", ("First", 0): "Pair", ("Second", 0): "Pair"},
+    "mltt": {
+        ("App", 0): "Lam",
+        ("First", 0): "Pair",
+        ("Second", 0): "Pair",
+        ("J", 5): "Refl",
+    },
+}
+DECLARED_HEAD_SLOTS = {
+    "ulc": {"App": 0},
+    "stlc": {"App": 0, "First": 0, "Second": 0},
+    "mltt": {"App": 0, "First": 0, "Second": 0},
+}
+
+
+@pytest.mark.parametrize("lang", [ulc, stlc, mltt], ids=["ulc", "stlc", "mltt"])
+class TestDerivedTables:
+    def test_guesses_match_the_declared_tables(self, lang):
+        derived = {}
+        for view in (lang, lang.typed_view):
+            for tag, op in view.signature.operators.items():
+                slots = tuple(MetaApp(f"s{i}") for i in range(len(op.slots)))
+                guesses: dict[str, MetaAbs] = {}
+                _collect_guesses(view, Op(tag, slots), FreshSupply(), guesses)
+                for meta, guess in guesses.items():
+                    derived[(tag, int(meta[1:]))] = guess.body.tag
+        assert derived == DECLARED_GUESSES[lang.name]
+
+    def test_heads_descend_the_declared_slots(self, lang):
+        descended = {}
+        for tag, op in lang.signature.operators.items():
+            children = tuple(Free(f"c{i}") for i in range(len(op.slots)))
+            head = head_of(lang, Op(tag, children))
+            if head != Op(tag, children):
+                descended[tag] = children.index(head)
+        assert descended == DECLARED_HEAD_SLOTS[lang.name]
 
 
 class TestWorkedExamples:
@@ -191,7 +235,7 @@ class TestCustomSignatures:
 
     def test_typed_candidates_get_annotations(self):
         tsig = stlc.typed_signature
-        lang = bare_language(tsig, stlc.typed_reducer)
+        lang = bare_language(tsig, stlc.reducer)
         ann = Op("UInf")
         c = Constraint(
             MetaApp("m"), Op("Fun", (Free("A"), Free("B")), ann=ann)
@@ -199,6 +243,37 @@ class TestCustomSignatures:
         solution = solve_checked(lang, [c])
         body = solution.substs.get("m").body
         assert isinstance(body, Op) and body.ann == ann
+
+
+BOXES = make_signature("boxes", [("Box", [SlotKind.TERM]), ("Unbox", [SlotKind.TERM])])
+
+
+def boxes(shapes=()) -> Language:
+    """A custom language whose one rule, ``Unbox(Box(a))`` to ``a``, is
+    all it says about guesses and heads."""
+    unbox = Rule(0, "Box", lambda node, box: box.children[0])
+    return Language("boxes", BOXES, {"Unbox": unbox}, annotate_signature(BOXES), {}, shapes)
+
+
+class TestRulesDriveSearch:
+    def test_guess_from_a_custom_rule(self):
+        # Unbox(?m[]) is stuck until ?m is guessed to be a Box
+        c = Constraint(Op("Unbox", (MetaApp("m"),)), Free("a"))
+        solution = solve_checked(boxes(), [c])
+        assert apply_substs(BOXES, solution.substs, MetaApp("m")) == Op("Box", (Free("a"),))
+
+    def test_custom_shape_puts_the_head_in_the_principal_slot(self):
+        c = Constraint(MetaApp("m", (Op("Box", (Free("a"),)),)), Free("a"))
+        assert solve_checked(boxes(), [c]).substs.get("m") == MetaAbs(1, Free("a"))
+        solution = solve_checked(boxes(shapes=("Unbox",)), [c])
+        assert solution.substs.get("m") == MetaAbs(1, Op("Unbox", (Hole(0),)))
+
+    def test_shape_without_a_rule_is_rejected(self):
+        with pytest.raises(SignatureError):
+            Language("boxes", BOXES, {}, annotate_signature(BOXES), {}, ("Unbox",))
+        # a rule for a tag outside the signature does not make it a shape
+        with pytest.raises(SignatureError):
+            Language("boxes", BOXES, stlc.reducer, annotate_signature(BOXES), {}, ("App",))
 
 
 def test_fresh_metas_avoid_problem_names():
