@@ -51,7 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="object language (default: ulc)",
     )
     budget = SearchConfig()
-    parser.add_argument("--fuel", type=int, default=budget.fuel, help="candidate attempts")
+    parser.add_argument(
+        "--fuel", type=int, default=budget.fuel, help="candidate attempts and pattern inversions"
+    )
     parser.add_argument(
         "--guess-fuel", type=int, default=budget.guess_fuel, help="guess expansions"
     )

@@ -1,15 +1,24 @@
 """Higher-order preunification.
 
 Constraints are simplified by reduction, structural guesses for applied
-metavariables, and node matching; remaining flex-rigid constraints are
-solved by trying candidate substitutions (projections, imitation of the
-rigid head, shape skeletons) with backtracking.  Guesses and shapes come
-from the language's reduction rules: a metavariable in an eliminator's
-principal slot is guessed to be the rule's ``intro`` node, and a shape is
-an eliminator with its head in that slot.  Flex-flex constraints are
-returned unsolved.  The procedure is semi-decidable: a fuel budget turns
-non-termination into an explicit "undetermined" outcome, distinct from
-definite failure.
+metavariables, and node matching.  A remaining flex-rigid constraint in
+the pattern fragment (Miller 1991) is solved without backtracking: its
+flex side applies a metavariable to distinct universally bound variables,
+its rigid side does not mention that metavariable, and every other
+universally bound variable of the rigid side is a bare argument of
+another metavariable where no instance could erase it.  Inversion gives
+the most general solution: each parameter becomes its hole, and each
+metavariable holding an out-of-scope argument is pruned to a fresh one
+without it.  The other
+flex-rigid constraints are solved by trying candidate substitutions
+(projections, imitation of the rigid head, shape skeletons) with
+backtracking.  Guesses and shapes come from the language's reduction
+rules: a metavariable in an eliminator's principal slot is guessed to be
+the rule's ``intro`` node, and a shape is an eliminator with its head in
+that slot.  Flex-flex constraints are returned unsolved.  The procedure is
+semi-decidable: a fuel budget, spent by inversions and candidates alike,
+turns non-termination into an explicit "undetermined" outcome, distinct
+from definite failure.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from .metavar import (
 )
 from .reduction import DEFAULT_REDUCE_FUEL, FuelExhausted, reduce
 from .signature import Signature, SlotKind, zip_match
-from .terms import Bound, Hole, MetaApp, Op, Term, rebuild, subterms
+from .terms import Bound, Free, Hole, MetaApp, Op, Term, rebuild, subterms
 
 
 class UnificationFailed(Exception):
@@ -92,9 +101,9 @@ def classify(c: Constraint) -> ConstraintClass:
 class SearchConfig:
     """Termination control for the semi-decidable search.
 
-    ``fuel`` bounds candidate-solution attempts, ``guess_fuel`` the
-    guess-then-reduce iterations per simplification, ``reduce_fuel`` the head
-    steps per reduction.
+    ``fuel`` bounds candidate-solution attempts and pattern inversions
+    together, ``guess_fuel`` the guess-then-reduce iterations per
+    simplification, ``reduce_fuel`` the head steps per reduction.
     """
 
     fuel: int = 1000
@@ -170,7 +179,8 @@ def simplify_all(
     cfg: SearchConfig,
     supply: FreshSupply,
 ) -> tuple[list[Constraint], MetaSubstitution]:
-    """Reduce, guess, and decompose until only flex-* constraints remain.
+    """Reduce, guess, and decompose until only flex-* constraints remain,
+    each one once.
 
     Raises :class:`Clash` on a rigid-rigid mismatch and
     :class:`Undetermined` when the guess budget runs out.
@@ -205,7 +215,8 @@ def simplify_all(
         if isinstance(lhs, MetaApp) or isinstance(rhs, MetaApp):
             if isinstance(rhs, MetaApp) and not isinstance(lhs, MetaApp):
                 c = Constraint(rhs, lhs, c.binders, c.binder_names)
-            done.append(c)
+            if c not in done:  # by ==: terms are never hashed
+                done.append(c)
             continue
         if not (isinstance(lhs, Op) and isinstance(rhs, Op)):
             raise Clash(c)  # distinct variables, or variable vs node
@@ -235,6 +246,75 @@ def simplify(
     """Simplify a single constraint (convenience wrapper)."""
     supply = supply or FreshSupply.avoiding(metas_of(constraint.lhs) | metas_of(constraint.rhs))
     return simplify_all(lang, [constraint], substs, cfg, supply)
+
+
+# ---------------------------------------------------------------------------
+# Pattern constraints: inversion and pruning
+
+
+def invert(lang, c: Constraint, supply: FreshSupply) -> MetaSubstitution | None:
+    """The most general solution of a flex-rigid pattern constraint, or
+    ``None`` when ``c`` (flex side first) is outside the pattern fragment.
+
+    The flex side's arguments must be distinct universally bound
+    variables, and the rigid side must not mention the flex metavariable.
+    The solution's body is the rigid side with each of those variables
+    replaced by its parameter's hole.  Any other universally bound variable
+    may occur only as a bare argument of another metavariable application
+    whose arguments are all variables and which sits in no metavariable's
+    argument and, when the rigid side has a redex, in no redex: then no
+    instance of the rigid side can erase it.  That metavariable gets an
+    entry to a fresh one from ``supply`` with the argument dropped
+    (pruning).  Anything else leaves the constraint to the candidate search.
+    """
+    flex = c.lhs
+    assert isinstance(flex, MetaApp)
+    position = {a.index: j for j, a in enumerate(flex.args) if type(a) is Bound}
+    if len(position) != len(flex.args):
+        return None
+    sig = lang.signature
+    dropped: dict[str, tuple[int, set[int]]] = {}  # meta -> (arity, positions)
+    flexible: set[int] = set()  # ids of nodes inside a metavariable's arguments
+    redex = False
+    for t, d, parent, slot in subterms(c.rhs, sig):
+        if type(parent) is MetaApp or id(parent) in flexible:
+            flexible.add(id(t))
+        if type(t) is MetaApp and t.meta == flex.meta:
+            return None
+        if type(t) is Op:
+            redex = redex or _may_contract(lang, t)
+        elif type(t) is Bound and t.index >= d and t.index - d not in position:
+            if (
+                type(parent) is not MetaApp
+                or id(parent) in flexible
+                or not all(isinstance(a, (Bound, Free)) for a in parent.args)
+            ):
+                return None
+            dropped.setdefault(parent.meta, (len(parent.args), set()))[1].add(slot)
+    if dropped and redex:
+        return None
+
+    pruned = MetaSubstitution({
+        meta: MetaAbs(n, MetaApp(supply.fresh(), tuple(Hole(i) for i in range(n) if i not in out)))
+        for meta, (n, out) in dropped.items()
+    })
+
+    def var(t: Term, d: int) -> Term:
+        return Hole(position[t.index - d]) if type(t) is Bound and t.index >= d else t
+
+    body = rebuild(apply_substs(sig, pruned, c.rhs), var, sig=sig)
+    return MetaSubstitution({**pruned.entries, flex.meta: MetaAbs(len(flex.args), body)})
+
+
+def _may_contract(lang, node: Op) -> bool:
+    """Is ``node`` a redex?  An eliminator whose rule names no ``intro``
+    counts as one: only calling the rule could tell."""
+    rule = lang.reducer.get(node.tag)
+    if rule is None:
+        return False
+    intro = getattr(rule, "intro", None)
+    head = node.children[rule.principal]
+    return intro is None or (type(head) is Op and head.tag == intro)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +355,8 @@ def _imitation(lang, c: Constraint, supply: FreshSupply) -> MetaAbs | None:
 
 
 def candidates(lang, c: Constraint, supply: FreshSupply) -> Iterator[MetaAbs]:
-    """Ordered candidate solutions for a flex-rigid constraint.
+    """Ordered candidate solutions for a flex-rigid constraint outside the
+    pattern fragment (patterns are inverted first, see :func:`invert`).
 
     Order: projections onto the metavariable's parameters, shape skeletons
     over those projections, imitation of the rigid head, then progressively
@@ -363,10 +444,21 @@ def _search(
     stack: list[_ChoicePoint] = []
     state = (substs, constraints)
 
+    def spend() -> None:
+        nonlocal attempts
+        attempts += 1
+        if attempts > cfg.fuel:
+            raise Undetermined(f"candidate budget ({cfg.fuel}) exhausted")
+
     while True:
         clash = None
         try:
             cs, s = simplify_all(lang, state[1], state[0], cfg, supply)
+            # Patterns first: inversion solves one without a choice point.
+            while (solved := _invert_first(lang, cs, supply)) is not None:
+                spend()
+                s = extend_substs(lang.signature, s, solved)
+                cs, s = simplify_all(lang, cs, s, cfg, supply)
         except FuelExhausted as exc:
             raise Undetermined(str(exc)) from exc
         except Clash as exc:
@@ -397,11 +489,7 @@ def _search(
                         f"no candidate solves ?{point.meta}"
                     )
                 continue
-            attempts += 1
-            if attempts > cfg.fuel:
-                raise Undetermined(
-                    f"candidate budget ({cfg.fuel}) exhausted"
-                )
+            spend()
             try:
                 extended = extend_substs(
                     lang.signature,
@@ -412,6 +500,18 @@ def _search(
                 continue
             state = (extended, point.constraints)
             break
+
+
+def _invert_first(
+    lang, constraints: list[Constraint], supply: FreshSupply
+) -> MetaSubstitution | None:
+    """The inversion of the first flex-rigid pattern constraint, if any."""
+    for c in constraints:
+        if classify(c) is ConstraintClass.FLEX_RIGID:
+            solved = invert(lang, c, supply)
+            if solved is not None:
+                return solved
+    return None
 
 
 def verify_solution(

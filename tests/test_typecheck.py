@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaterm import typecheck
+from metaterm import typecheck, unification
 from metaterm.languages import LANGUAGES
 from metaterm.metavar import apply_substs, metas_of
 from metaterm.reduction import normal_form
@@ -380,3 +380,43 @@ class TestSubstitutionReads:
             return calls
 
         assert reads(32) <= 2.2 * reads(16)
+
+
+def f_tower(levels: int) -> str:
+    """``\\f. \\x. f (f (… x))``: every application adds the same residual."""
+    return "\\f. \\x. " + "f (" * levels + "x" + ")" * levels
+
+
+class TestResiduals:
+    @pytest.mark.parametrize("lang", [stlc, mltt], ids=["stlc", "mltt"])
+    def test_constraints_are_never_duplicated(self, lang, monkeypatch):
+        unify_with_expected = TypeChecker.unify_with_expected
+
+        def checked(tc, actual, expected):
+            unify_with_expected(tc, actual, expected)
+            held = tc.ctx.constraints
+            assert all(a != b for i, a in enumerate(held) for b in held[i + 1 :])
+
+        monkeypatch.setattr(TypeChecker, "unify_with_expected", checked)
+        for src in (f_tower(20), r"\f. \g. \x. g (f x) (f (f x))", r"\p. <second p, first p>"):
+            TypeChecker(lang).infer(parse_term(src, lang))
+
+    def test_simplified_constraints_grow_linearly_on_an_f_tower(self, monkeypatch):
+        simplify_all = unification.simplify_all
+        seen = 0
+
+        def counted(lang, constraints, *rest):
+            nonlocal seen
+            constraints = list(constraints)
+            seen += len(constraints)
+            return simplify_all(lang, constraints, *rest)
+
+        monkeypatch.setattr(unification, "simplify_all", counted)
+
+        def work(levels: int) -> int:
+            nonlocal seen
+            seen = 0
+            TypeChecker(stlc).infer(parse_term(f_tower(levels), stlc))
+            return seen
+
+        assert work(600) <= 2.2 * work(300)

@@ -2,26 +2,35 @@
 
 from __future__ import annotations
 
-import pytest
+import time
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from metaterm import unification
 from metaterm.languages import LANGUAGES, Language
 from metaterm.metavar import FreshSupply, MetaAbs, MetaSubstitution, apply_substs, metas_of
-from metaterm.reduction import Rule
+from metaterm.reduction import Rule, normal_form
 from metaterm.signature import SignatureError, SlotKind, annotate_signature, make_signature
-from metaterm.syntax import parse_constraint, parse_term
-from metaterm.terms import Bound, Free, Hole, MetaApp, Op
+from metaterm.syntax import parse_constraint, parse_term, print_entry
+from metaterm.terms import Bound, Free, Hole, MetaApp, Op, rebuild
 from metaterm.unification import (
     Clash,
     Constraint,
     ConstraintClass,
     SearchConfig,
+    Solution,
     Undetermined,
     UnificationFailed,
     _collect_guesses,
     classify,
     head_of,
     simplify,
+    simplify_all,
     unify,
+    verify_solution,
 )
 
 from helpers import bare_language, solve_checked
@@ -76,6 +85,14 @@ class TestSimplify:
     def test_flex_sides_oriented_flex_first(self):
         done, _ = simplify(ulc, cstr("f a =?= ?m[]"))
         assert isinstance(done[0].lhs, MetaApp)
+
+    def test_equal_residuals_are_kept_once(self):
+        same = [cstr("forall x. ?m[x] =?= ?n[x]"), cstr("forall x. ?n[x] =?= ?m[x]")]
+        done, _ = simplify_all(
+            ulc, [same[0], same[0], cstr("f ?a[] =?= f ?b[]"), same[0], same[1]],
+            MetaSubstitution(), SearchConfig(), FreshSupply(),
+        )
+        assert done == [same[0], same[1], cstr("?a[] =?= ?b[]")]
 
 
 class TestHeadOf:
@@ -309,3 +326,200 @@ def test_given_entries_come_back_as_given(problem):
         assert apply_substs(ulc.signature, result, t) == apply_substs(
             ulc.signature, search, apply_substs(ulc.signature, given, t)
         )
+
+
+# ---------------------------------------------------------------------------
+# Pattern constraints: inversion and pruning before the candidate search
+
+
+class TestPatterns:
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_repeated_argument_spine_solves(self, k):
+        xs = ", ".join(f"x{i}" for i in range(1, k + 1))
+        body = f"c {xs.replace(',', '')} x1"
+        solution = solve(f"forall {xs.replace(',', '')}. ?m[{xs}] =?= {body}")
+        assert print_entry(ulc, "m", solution.substs.get("m")) == f"?m[{xs}] := {body}"
+
+    def test_self_application_inverts_quickly(self):
+        # the candidate search alone ran past 15 s on this, its guesses
+        # tripling the constraint each time
+        start = time.perf_counter()
+        solution = solve("forall x. ?m[x] =?= \\y. x x")
+        assert print_entry(ulc, "m", solution.substs.get("m")) == "?m[x1] := \\x. x1 x1"
+        assert time.perf_counter() - start < 1.0
+
+    def test_pruning_drops_out_of_scope_arguments(self):
+        solution = solve("forall x y. ?m[y] =?= f (?n[x, y]) (?n[y, y])")
+        shown = [print_entry(ulc, name, solution.substs.get(name)) for name in "mn"]
+        assert shown == ["?m[x1] := f ?m1[x1] ?m1[x1]", "?n[x1, x2] := ?m1[x2]"]
+
+    @pytest.mark.parametrize(
+        "problem, pruned",
+        [
+            # a redex, a metavariable or a non-variable argument could erase y
+            (["forall y. ?m[] =?= f ((\\z. c) ?n[y])", "forall y. ?n[y] =?= y"], "?n[x1] := x1"),
+            (["forall y. ?m[] =?= f (?k[?n[y]])", "forall y. ?n[y] =?= y", "?k[a] =?= c"],
+             "?n[x1] := x1"),
+            (["forall y. ?m[] =?= f (?n[y, \\w. c])", "forall y. ?n[y, \\w. w] =?= y"],
+             "?n[x1, x2] := x2 x1"),
+        ],
+    )
+    def test_no_pruning_where_the_variable_could_be_erased(self, problem, pruned):
+        constraints = [cstr(src) for src in problem]
+        assert unification.invert(ulc, constraints[0], FreshSupply()) is None
+        solution = solve_checked(ulc, constraints)
+        assert print_entry(ulc, "m", solution.substs.get("m")) == "?m[] := f c"
+        assert print_entry(ulc, "n", solution.substs.get("n")) == pruned
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "forall x y. ?m[x] =?= f (g y)",  # out of scope outside a metavariable
+            "forall x y. ?m[x] =?= f (?n[g y])",  # not a bare argument
+            "forall x y. ?m[x] =?= (\\z. c) y",  # a redex would erase it
+            "forall x. ?m[x, x] =?= f x",  # repeated parameter
+            "forall x. ?m[f x] =?= f x",  # a parameter that is no variable
+        ],
+    )
+    def test_non_patterns_go_to_the_search(self, src):
+        c = cstr(src)
+        assert unification.invert(ulc, c, FreshSupply()) is None
+
+    def test_occurs_check_goes_to_the_search(self):
+        c = cstr("forall x. ?m[x] =?= c ?m[x] x")
+        assert unification.invert(ulc, c, FreshSupply()) is None
+        with pytest.raises(Undetermined):
+            unify(ulc, MetaSubstitution(), [c], SearchConfig(fuel=20))
+
+    def test_planted_pattern_tries_no_candidate(self, monkeypatch):
+        tried = []
+        real = unification.candidates
+        monkeypatch.setattr(
+            unification, "candidates", lambda *a: tried.append(a) or real(*a)
+        )
+        solve("forall u v w. ?m[w, u, v] =?= c1 u (c2 (first v) <w, second u>)", stlc)
+        assert tried == []
+
+    def test_each_inversion_spends_fuel(self):
+        problem = [cstr("?m[] =?= a"), cstr("?n[] =?= b")]
+        assert unify(ulc, MetaSubstitution(), problem, SearchConfig(fuel=2)).substs
+        with pytest.raises(Undetermined, match=r"budget \(1\) exhausted"):
+            unify(ulc, MetaSubstitution(), problem, SearchConfig(fuel=1))
+
+
+# Generated pattern problems: ``forall x0..x(k-1). ?m[params] =?= body``
+# where ``params`` are distinct universal variables.  Bodies are spines of
+# constants, lambdas, pairs and projections (in STLC) over the parameters,
+# with ``?n``/``?p`` applied to bare variables in and out of scope and to
+# bodies.  Unless ``planted``, a body may leave the pattern fragment: an
+# out-of-scope variable outside a metavariable, or under one that a redex,
+# another metavariable or a non-variable argument could erase.
+OTHER_METAS = {"n": 1, "p": 2}
+DIFF_BUDGETS = SearchConfig(fuel=200, guess_fuel=20)
+
+
+@st.composite
+def pattern_bodies(
+    draw, lang, k: int, params: tuple[int, ...], depth: int, size: int, planted: bool
+):
+    def var(in_scope: bool):
+        pool = list(params) if in_scope else [i for i in range(k) if i not in params]
+        local = list(range(depth)) if in_scope else []
+        choices = [Bound(i + depth) for i in pool] + [Bound(i) for i in local]
+        return draw(st.sampled_from(choices)) if choices else Free("a")
+
+    kinds = ["const", "var"]
+    if not planted and len(params) < k:
+        kinds.append("stray")
+    if size > 0:
+        kinds += ["app", "lam", "meta"]
+        if lang is stlc:
+            kinds += ["pair", "first", "second"]
+
+    def sub(d: int = depth):
+        return draw(pattern_bodies(lang, k, params, d, size - 1, planted))
+
+    match draw(st.sampled_from(kinds)):
+        case "const":
+            return Free(draw(st.sampled_from(("a", "b", "c"))))
+        case "var":
+            return var(True)
+        case "stray":
+            return var(False)
+        case "app":  # a constant-headed spine: no redex
+            head = Free(draw(st.sampled_from(("f", "g"))))
+            for _ in range(draw(st.integers(1, 2))):
+                head = Op("App", (head, sub()))
+            return head
+        case "lam":
+            return Op("Lam", (sub(depth + 1),)) if lang is ulc else sub()
+        case "pair":
+            return Op("Pair", (sub(), sub()))
+        case "first" | "second" as proj:  # planted: no redex, so pruning applies
+            return Op(proj.capitalize(), (var(True) if planted else sub(),))
+        case "meta":
+            name = draw(st.sampled_from(sorted(OTHER_METAS)))
+            arg = st.sampled_from(["in", "out"] if planted else ["in", "out", "term"])
+            args = (var(a != "out") if a != "term" else sub() for a in draw(
+                st.lists(arg, min_size=OTHER_METAS[name], max_size=OTHER_METAS[name])
+            ))
+            return MetaApp(name, tuple(args))
+
+
+@st.composite
+def pattern_problems(draw, planted: bool = False):
+    lang = draw(st.sampled_from([ulc, stlc]))
+    k = draw(st.integers(0, 3))
+    params = tuple(draw(st.permutations(range(k)))[: draw(st.integers(0, k))])
+    body = draw(pattern_bodies(lang, k, params, 0, 3, planted))
+    flex = MetaApp("m", tuple(Bound(i) for i in params))
+    return lang, Constraint(flex, body, k, tuple(f"x{i + 1}" for i in range(k)))
+
+
+def canonical(term):
+    """``term`` with metavariables renamed in order of first occurrence."""
+    names: dict[str, str] = {}
+
+    def enter(t):
+        if type(t) is MetaApp:
+            return MetaApp(names.setdefault(t.meta, f"v{len(names)}"), t.args)
+        return t
+
+    return rebuild(term, enter=enter)
+
+
+def answer(lang, c: Constraint, solution: Solution):
+    """The normal form of what the solution makes of the flex side."""
+    solved = apply_substs(lang.signature, solution.substs, c.lhs)
+    return canonical(normal_form(solved, lang.reducer))
+
+
+@settings(max_examples=400, deadline=None)
+@given(problem=pattern_problems())
+def test_inversion_agrees_with_the_search(problem):
+    lang, c = problem
+    try:
+        inverted = unify(lang, MetaSubstitution(), [c], DIFF_BUDGETS)
+    except (UnificationFailed, Undetermined):
+        inverted = None
+    else:
+        assert verify_solution(lang, [c], inverted, DIFF_BUDGETS)
+    with mock.patch.object(unification, "_invert_first", lambda *a: None):
+        try:
+            searched = unify(lang, MetaSubstitution(), [c], DIFF_BUDGETS)
+        except (UnificationFailed, Undetermined):
+            return
+    assert verify_solution(lang, [c], searched, DIFF_BUDGETS)
+    # The search finds a solution, so the pattern's most general one exists.
+    assert inverted is not None
+    if not searched.residual and not inverted.residual:
+        assert answer(lang, c, inverted) == answer(lang, c, searched)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=pattern_problems(planted=True))
+def test_planted_patterns_are_solved(problem):
+    lang, c = problem
+    assert unification.invert(lang, c, FreshSupply(taken={"m", "n", "p"})) is not None
+    solution = unify(lang, MetaSubstitution(), [c], DIFF_BUDGETS)
+    assert verify_solution(lang, [c], solution, DIFF_BUDGETS)

@@ -9,7 +9,10 @@ at each of ``SEEDS``, plus ``RANDOM_COMMANDS`` seeded random ``unify``/
 process, in-process through ``metaterm.cli.main`` with standard input,
 output and error captured; a command that runs past ``TIMEOUT_S`` seconds
 is recorded as a time-out.  Lists every command whose exit code, stdout or
-stderr differs between the trees, and exits 1 if any does, 0 otherwise.
+stderr differs between the trees, then one line per exit-code transition
+counting those commands (e.g. ``1 -> 0: 32``; ``0 -> 0`` counts changed
+output under an unchanged exit code), and exits 1 if any differs, 0
+otherwise.
 
 Not part of the test suite: a check to run by hand when a change claims
 byte-identical output.
@@ -26,6 +29,7 @@ import signal
 import subprocess
 import sys
 import traceback
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -230,6 +234,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{len(commands)} commands, {len(differing)} differ, "
         f"{timeouts} time-outs over both trees"
     )
+    transitions = Counter(f"{base[i][0]} -> {head[i][0]}" for i in differing)
+    for transition, count in sorted(transitions.items()):
+        print(f"{transition}: {count}")
     return 1 if differing else 0
 
 
