@@ -200,6 +200,8 @@ def _run_typed(lang, args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(_show_type(lang, ty, args))
+    for residual in checker.ctx.constraints:
+        print(print_constraint(lang, residual))
     return EXIT_OK
 
 

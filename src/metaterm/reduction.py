@@ -79,11 +79,6 @@ def identity_elim() -> Rule:
     return Rule(5, "Refl", lambda j, refl: j.children[3])
 
 
-def empty_reduce() -> Reducer:
-    """Reducer of the empty signature: no operator rules at all."""
-    return {}
-
-
 def sum_reduce(left: Reducer, right: Reducer) -> Reducer:
     """Combine reducers of signatures with disjoint tags."""
     overlap = left.keys() & right.keys()

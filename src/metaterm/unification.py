@@ -1,24 +1,24 @@
 """Higher-order preunification.
 
 Constraints are simplified by reduction, structural guesses for applied
-metavariables, and node matching.  A remaining flex-rigid constraint in
-the pattern fragment (Miller 1991) is solved without backtracking: its
-flex side applies a metavariable to distinct universally bound variables,
-its rigid side does not mention that metavariable, and every other
-universally bound variable of the rigid side is a bare argument of
-another metavariable where no instance could erase it.  Inversion gives
-the most general solution: each parameter becomes its hole, and each
-metavariable holding an out-of-scope argument is pruned to a fresh one
-without it.  The other
-flex-rigid constraints are solved by trying candidate substitutions
-(projections, imitation of the rigid head, shape skeletons) with
-backtracking.  Guesses and shapes come from the language's reduction
-rules: a metavariable in an eliminator's principal slot is guessed to be
-the rule's ``intro`` node, and a shape is an eliminator with its head in
-that slot.  Flex-flex constraints are returned unsolved.  The procedure is
-semi-decidable: a fuel budget, spent by inversions and candidates alike,
-turns non-termination into an explicit "undetermined" outcome, distinct
-from definite failure.
+metavariables, and node matching.  What remains is solved by one
+backtracking search over Huet's tree, whose nodes are choice points.  A
+flex-rigid constraint in the pattern fragment (Miller 1991) is a node with
+one branch, its inversion: its flex side applies a metavariable to
+distinct universally bound variables, its rigid side does not mention that
+metavariable, and every other universally bound variable of the rigid
+side is a bare argument of another metavariable where no instance could
+erase it.  Inversion gives the most general solution: each parameter
+becomes its hole, and each metavariable holding an out-of-scope argument
+is pruned to a fresh one without it.  When no constraint inverts, the
+first flex-rigid one branches over candidate substitutions (projections,
+imitation of the rigid head, shape skeletons).  Guesses and shapes come
+from the language's reduction rules: a metavariable in an eliminator's
+principal slot is guessed to be the rule's ``intro`` node, and a shape is
+an eliminator with its head in that slot.  Flex-flex constraints are
+returned unsolved.  The procedure is semi-decidable: a fuel budget, one
+unit per branch taken, inversions included, turns non-termination into an
+explicit "undetermined" outcome, distinct from definite failure.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import length_hint
 from typing import Iterable, Iterator
 
 from .metavar import (
@@ -101,9 +102,10 @@ def classify(c: Constraint) -> ConstraintClass:
 class SearchConfig:
     """Termination control for the semi-decidable search.
 
-    ``fuel`` bounds candidate-solution attempts and pattern inversions
-    together, ``guess_fuel`` the guess-then-reduce iterations per
-    simplification, ``reduce_fuel`` the head steps per reduction.
+    ``fuel`` bounds the options tried at choice points (a candidate, or a
+    pattern's inversion: one unit each), ``guess_fuel`` the
+    guess-then-reduce iterations per simplification, ``reduce_fuel`` the
+    head steps per reduction.
     """
 
     fuel: int = 1000
@@ -236,18 +238,6 @@ def simplify_all(
     return done, substs
 
 
-def simplify(
-    lang,
-    constraint: Constraint,
-    substs: MetaSubstitution = MetaSubstitution(),
-    cfg: SearchConfig = SearchConfig(),
-    supply: FreshSupply | None = None,
-) -> tuple[list[Constraint], MetaSubstitution]:
-    """Simplify a single constraint (convenience wrapper)."""
-    supply = supply or FreshSupply.avoiding(metas_of(constraint.lhs) | metas_of(constraint.rhs))
-    return simplify_all(lang, [constraint], substs, cfg, supply)
-
-
 # ---------------------------------------------------------------------------
 # Pattern constraints: inversion and pruning
 
@@ -356,7 +346,7 @@ def _imitation(lang, c: Constraint, supply: FreshSupply) -> MetaAbs | None:
 
 def candidates(lang, c: Constraint, supply: FreshSupply) -> Iterator[MetaAbs]:
     """Ordered candidate solutions for a flex-rigid constraint outside the
-    pattern fragment (patterns are inverted first, see :func:`invert`).
+    pattern fragment (a pattern's only option is :func:`invert`).
 
     Order: projections onto the metavariable's parameters, shape skeletons
     over those projections, imitation of the rigid head, then progressively
@@ -403,7 +393,21 @@ class _ChoicePoint:
     substs: MetaSubstitution
     constraints: list[Constraint]
     meta: str
-    options: Iterator[MetaAbs]
+    options: Iterator[MetaAbs | MetaSubstitution]
+
+
+def _options(lang, flex_rigid: list[Constraint], supply: FreshSupply):
+    """The metavariable a choice point solves, and its options."""
+    for c in flex_rigid:
+        if (solved := invert(lang, c, supply)) is not None:
+            return c.lhs.meta, iter((solved,))
+    return flex_rigid[0].lhs.meta, candidates(lang, flex_rigid[0], supply)
+
+
+def _supply_avoiding(substs: MetaSubstitution, constraints: Iterable[Constraint]) -> FreshSupply:
+    """Fresh names avoiding every metavariable of the problem."""
+    metas = (metas_of(c.lhs) | metas_of(c.rhs) for c in constraints)
+    return FreshSupply.avoiding(set(substs.entries).union(*metas))
 
 
 def unify(
@@ -415,103 +419,59 @@ def unify(
 ) -> Solution:
     """Preunify: solve flex-rigid constraints, return flex-flex residual.
 
-    The entries of ``substs`` come back as given; each entry the search
-    adds is resolved, so its body mentions no metavariable that has an
-    entry.  Raises :class:`UnificationFailed` when every candidate branch
-    clashes and :class:`Undetermined` when a fuel budget runs out first.
-    Sibling candidate branches never observe each other's state: each
-    choice point snapshots the (immutable) substitution and constraint
-    list.
+    Each round simplifies, then opens a choice point: the first pattern
+    constraint's only option is its inversion, else the options are the
+    first flex-rigid constraint's candidates; each option tried costs one
+    unit of ``cfg.fuel``.  The entries of ``substs`` come back as given;
+    each entry the search adds is resolved (mentions no metavariable with
+    an entry).  Raises :class:`UnificationFailed` when every branch
+    clashes and :class:`Undetermined` when a budget runs out first.  Choice
+    points snapshot the immutable state, so branches never share it.
     """
-    constraints = list(constraints)
-    if supply is None:
-        names: set[str] = set(substs.entries)
-        for c in constraints:
-            names |= metas_of(c.lhs) | metas_of(c.rhs)
-        supply = FreshSupply.avoiding(names)
-
-    return _search(lang, substs, constraints, cfg, supply)
-
-
-def _search(
-    lang,
-    substs: MetaSubstitution,
-    constraints: list[Constraint],
-    cfg: SearchConfig,
-    supply: FreshSupply,
-) -> Solution:
+    cs, s = list(constraints), substs
+    supply = supply or _supply_avoiding(s, cs)
     attempts = 0
     stack: list[_ChoicePoint] = []
-    state = (substs, constraints)
-
-    def spend() -> None:
-        nonlocal attempts
-        attempts += 1
-        if attempts > cfg.fuel:
-            raise Undetermined(f"candidate budget ({cfg.fuel}) exhausted")
 
     while True:
         clash = None
         try:
-            cs, s = simplify_all(lang, state[1], state[0], cfg, supply)
-            # Patterns first: inversion solves one without a choice point.
-            while (solved := _invert_first(lang, cs, supply)) is not None:
-                spend()
-                s = extend_substs(lang.signature, s, solved)
-                cs, s = simplify_all(lang, cs, s, cfg, supply)
+            cs, s = simplify_all(lang, cs, s, cfg, supply)
         except FuelExhausted as exc:
             raise Undetermined(str(exc)) from exc
         except Clash as exc:
             clash = exc
         if clash is None:
-            flex_rigid = [
-                c for c in cs if classify(c) is ConstraintClass.FLEX_RIGID
-            ]
+            flex_rigid = [c for c in cs if classify(c) is ConstraintClass.FLEX_RIGID]
             if not flex_rigid:
                 added = [name for name in s.entries if name not in substs]
                 return Solution(resolve_entries(lang.signature, s, added), tuple(cs))
-            picked = flex_rigid[0]
-            assert isinstance(picked.lhs, MetaApp)
-            stack.append(
-                _ChoicePoint(s, cs, picked.lhs.meta, candidates(lang, picked, supply))
-            )
+            stack.append(_ChoicePoint(s, cs, *_options(lang, flex_rigid, supply)))
 
-        # Advance to the next untried candidate, backtracking as needed.
+        # Take the next untried option, backtracking as needed.
         while True:
             if not stack:
                 raise clash or UnificationFailed("all candidates exhausted")
             point = stack[-1]
-            cand = next(point.options, None)
-            if cand is None:
+            option = next(point.options, None)
+            if option is None:
                 stack.pop()
                 if clash is None:
-                    clash = UnificationFailed(
-                        f"no candidate solves ?{point.meta}"
-                    )
+                    clash = UnificationFailed(f"no candidate solves ?{point.meta}")
                 continue
-            spend()
+            if not length_hint(point.options, 1):
+                stack.pop()  # its last option: nothing to come back to
+            attempts += 1
+            if attempts > cfg.fuel:
+                raise Undetermined(f"candidate budget ({cfg.fuel}) exhausted")
+            if type(option) is MetaAbs:  # a candidate for the point's metavariable
+                option = MetaSubstitution({point.meta: option})
             try:
-                extended = extend_substs(
-                    lang.signature,
-                    point.substs,
-                    MetaSubstitution({point.meta: cand}),
-                )
+                s = extend_substs(lang.signature, point.substs, option)
             except ConflictingEntry:
                 continue
-            state = (extended, point.constraints)
+            cs = point.constraints
             break
-
-
-def _invert_first(
-    lang, constraints: list[Constraint], supply: FreshSupply
-) -> MetaSubstitution | None:
-    """The inversion of the first flex-rigid pattern constraint, if any."""
-    for c in constraints:
-        if classify(c) is ConstraintClass.FLEX_RIGID:
-            solved = invert(lang, c, supply)
-            if solved is not None:
-                return solved
-    return None
 
 
 def verify_solution(
@@ -522,9 +482,6 @@ def verify_solution(
 ) -> bool:
     """Soundness re-check: applying the substitution to the original
     constraints must re-simplify to flex-flex (or nothing)."""
-    supply = FreshSupply.avoiding(
-        set(solution.substs.entries)
-        | {m for c in original for m in metas_of(c.lhs) | metas_of(c.rhs)}
-    )
+    supply = _supply_avoiding(solution.substs, original)
     residual, _ = simplify_all(lang, original, solution.substs, cfg, supply)
     return all(classify(c) is ConstraintClass.FLEX_FLEX for c in residual)

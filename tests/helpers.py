@@ -4,8 +4,15 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-from metaterm.metavar import MetaSubstitution
-from metaterm.unification import Constraint, SearchConfig, Solution, unify, verify_solution
+from metaterm.metavar import FreshSupply, MetaSubstitution, metas_of
+from metaterm.unification import (
+    Constraint,
+    SearchConfig,
+    Solution,
+    simplify_all,
+    unify,
+    verify_solution,
+)
 
 
 def bare_language(signature, reducer=None, shapes=()):
@@ -13,6 +20,13 @@ def bare_language(signature, reducer=None, shapes=()):
     return SimpleNamespace(
         signature=signature, reducer=reducer or {}, shapes=shapes, name=signature.name
     )
+
+
+def simplify(lang, constraint: Constraint):
+    """``simplify_all`` of one constraint, with fresh names avoiding its
+    metavariables."""
+    supply = FreshSupply.avoiding(metas_of(constraint.lhs) | metas_of(constraint.rhs))
+    return simplify_all(lang, [constraint], MetaSubstitution(), SearchConfig(), supply)
 
 
 def solve_checked(

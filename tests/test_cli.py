@@ -194,7 +194,7 @@ class TestCheck:
         code, out, _ = run(
             ["--lang", "stlc", "check", r"\x. x", ":", "?t1[] -> ?t2[]"], capsys
         )
-        assert (code, out) == (EXIT_OK, "?t5[] -> ?t5[]\n")
+        assert (code, out) == (EXIT_OK, "?t5[] -> ?t5[]\n?t5[] =?= ?t1[]\n?t5[] =?= ?t2[]\n")
 
     def test_bad_colon_is_usage(self, capsys):
         code, _, _ = run(["--lang", "stlc", "check", "a", "::", "A"], capsys)

@@ -92,7 +92,7 @@ def test_omega_is_undetermined():
 def test_deep_stlc_infer():
     body = "f (" * 599 + "f x" + ")" * 599
     result = metaterm("--lang", "stlc", "infer", rf"\f. \x. {body}")
-    expected = "(?t2[] -> ?t3[]) -> ?t2[] -> ?t3[]\n"
+    expected = "(?t2[] -> ?t3[]) -> ?t2[] -> ?t3[]\nforall x1 x2. ?t3[] =?= ?t2[]\n"
     assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
 
 

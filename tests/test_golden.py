@@ -39,13 +39,13 @@ GOLDEN = [
     (['--fuel', '1', 'unify', '-'], '?m[] =?= a\n?n[] =?= b\n', 2, '', 'undetermined: candidate budget (1) exhausted\n'),
     (['--fuel', '4', 'unify', '-'], 'forall x. ?m[x] =?= c ?m[x] x\n', 2, '', 'undetermined: candidate budget (4) exhausted\n'),
     (['infer', '\\x. x'], None, 64, '', "language 'ulc' has no type system\n"),
-    (['--lang', 'stlc', 'infer', '\\f. \\x. f (f x)'], None, 0, '(?t2[] -> ?t3[]) -> ?t2[] -> ?t3[]\n', ''),
+    (['--lang', 'stlc', 'infer', '\\f. \\x. f (f x)'], None, 0, '(?t2[] -> ?t3[]) -> ?t2[] -> ?t3[]\nforall x1 x2. ?t3[] =?= ?t2[]\n', ''),
     (['--lang', 'stlc', 'infer', '\\p. <second p, first p>'], None, 0, '?t2[] * ?t3[] -> ?t3[] * ?t2[]\n', ''),
     (['--lang', 'stlc', 'infer', '\\f. \\g. \\x. g (f x) (f x)'], None, 0, '(?t3[] -> ?t4[]) -> (?t4[] -> ?t4[] -> ?t6[]) -> ?t3[] -> ?t6[]\n', ''),
     (['--lang', 'stlc', 'infer', '\\x. ?m[x] (first x)'], None, 0, '?t3[] * ?t4[] -> ?t5[]\n', ''),
     (['--lang', 'stlc', '--output', 'ast', 'infer', '\\x. x'], None, 0, "Op(tag='Fun', children=(MetaApp(meta='t1', args=()), MetaApp(meta='t1', args=())), ann=None)\n", ''),
-    (['--lang', 'stlc', 'check', '\\x. x', ':', '?t[] -> ?u[]'], None, 0, '?t3[] -> ?t3[]\n', ''),
-    (['--lang', 'mltt', 'infer', '\\f. \\x. f (f x)'], None, 0, '(?t4[] -> ?t5[]) -> ?t4[] -> ?t5[]\n', ''),
+    (['--lang', 'stlc', 'check', '\\x. x', ':', '?t[] -> ?u[]'], None, 0, '?t3[] -> ?t3[]\n?t3[] =?= ?t[]\n?t3[] =?= ?u[]\n', ''),
+    (['--lang', 'mltt', 'infer', '\\f. \\x. f (f x)'], None, 0, '(?t4[] -> ?t5[]) -> ?t4[] -> ?t5[]\nforall x1 x2. ?t5[] =?= ?t4[]\n', ''),
     (['--lang', 'mltt', 'infer', '\\p. <second p, first p>'], None, 0, '?t4[] * ?t5[] -> ?t5[] * ?t4[]\n', ''),
     (['--lang', 'mltt', 'infer', '\\A. \\x. refl x'], None, 0, '(x : ?t1[]) -> (y : ?t2[x]) -> y = y\n', ''),
     (['--lang', 'mltt', 'infer', 'J(A, a, C, d, x, p)'], None, 0, 'C x p\n', ''),

@@ -27,13 +27,12 @@ from metaterm.unification import (
     _collect_guesses,
     classify,
     head_of,
-    simplify,
     simplify_all,
     unify,
     verify_solution,
 )
 
-from helpers import bare_language, solve_checked
+from helpers import bare_language, simplify, solve_checked
 
 ulc = LANGUAGES["ulc"]
 stlc = LANGUAGES["stlc"]
@@ -504,7 +503,7 @@ def test_inversion_agrees_with_the_search(problem):
         inverted = None
     else:
         assert verify_solution(lang, [c], inverted, DIFF_BUDGETS)
-    with mock.patch.object(unification, "_invert_first", lambda *a: None):
+    with mock.patch.object(unification, "invert", lambda *a: None):
         try:
             searched = unify(lang, MetaSubstitution(), [c], DIFF_BUDGETS)
         except (UnificationFailed, Undetermined):
