@@ -13,7 +13,7 @@ from .metavar import (
     extend_substs,
     metas_of,
 )
-from .reduction import FuelExhausted, normal_form, reduce, sum_reduce
+from .reduction import normal_form, reduce, sum_reduce
 from .signature import (
     Operator,
     Signature,
@@ -63,7 +63,6 @@ __all__ = [
     "apply_substs",
     "extend_substs",
     "metas_of",
-    "FuelExhausted",
     "normal_form",
     "reduce",
     "sum_reduce",

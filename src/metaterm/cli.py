@@ -1,7 +1,10 @@
 """Command-line front end: reduce / unify / infer / check.
 
-Exit codes: 0 success, 1 definite failure (clash or type error),
-2 undetermined (fuel ran out before an answer), 64 usage or syntax errors.
+Each command parses its input, computes, and prints the answer; only
+:func:`main` turns an outcome into an exit code and a diagnostic on
+stderr.  Exit codes: 0 success, 1 definite failure (clash or type error),
+2 undetermined (:class:`~metaterm.reduction.Undetermined`: a budget ran
+out before an answer, in any layer), 64 usage or syntax errors.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from typing import Iterable
 
 from .languages import LANGUAGES, get_language
 from .metavar import MetaSubstitution
-from .reduction import FuelExhausted, normal_form, reduce
+from .reduction import Undetermined, normal_form, reduce
 from .syntax import (
     ParseError,
     parse_constraint,
@@ -25,13 +28,12 @@ from .syntax import (
 from .terms import MetaApp, Term, subterms
 from .typecheck import (
     DependencyEscape,
-    FuelExhausted as TypeFuelExhausted,
     TypeChecker,
     TypeCheckError,
     UnificationFailure,
     erase,
 )
-from .unification import Clash, SearchConfig, Undetermined, UnificationFailed, unify
+from .unification import Clash, SearchConfig, UnificationFailed, unify
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -118,13 +120,7 @@ def _meta_arities(terms: Iterable[Term]) -> dict[str, int]:
 
 def _run_reduce(lang, args: argparse.Namespace) -> int:
     term = parse_term(args.expr, lang)
-    cfg = _config(args)
-    try:
-        result = reduce(term, lang.reducer, cfg.reduce_fuel)
-    except FuelExhausted as exc:
-        print(f"undetermined: {exc}", file=sys.stderr)
-        return EXIT_UNDETERMINED
-    print(_show(lang, result, args))
+    print(_show(lang, reduce(term, lang.reducer, _config(args).reduce_fuel), args))
     return EXIT_OK
 
 
@@ -140,20 +136,7 @@ def _run_unify(lang, args: argparse.Namespace) -> int:
         if line.strip() and not line.lstrip().startswith("#")
     ]
     asked = _meta_arities(t for c in constraints for t in (c.lhs, c.rhs))
-    try:
-        solution = unify(lang, MetaSubstitution(), constraints, _config(args))
-    except Clash as exc:
-        print(
-            f"no solution: rigid heads clash in {print_constraint(lang, exc.constraint)}",
-            file=sys.stderr,
-        )
-        return EXIT_FAILURE
-    except UnificationFailed as exc:
-        print(f"no solution: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except (Undetermined, FuelExhausted) as exc:
-        print(f"undetermined: {exc}", file=sys.stderr)
-        return EXIT_UNDETERMINED
+    solution = unify(lang, MetaSubstitution(), constraints, _config(args))
     for name in asked:
         entry = solution.substs.get(name)
         if entry is not None:
@@ -174,32 +157,8 @@ def _run_typed(lang, args: argparse.Namespace) -> int:
     expected = parse_term(args.type, lang) if args.command == "check" else None
     _meta_arities((term,) if expected is None else (term, expected))
     checker = TypeChecker(lang, _config(args))
-    try:
-        if expected is None:
-            typed = checker.infer(term)
-        else:
-            typed = checker.check(term, expected)
-        ty = checker.type_of(typed)
-    except UnificationFailure as exc:
-        print(
-            f"type error: cannot unify types in {print_constraint(lang, exc.constraint)}",
-            file=sys.stderr,
-        )
-        return EXIT_FAILURE
-    except DependencyEscape as exc:
-        shown = print_term(lang, erase(exc.offending), binder_names=("x0",))
-        print(
-            f"type error: inferred type {shown!r} depends on its bound variable x0",
-            file=sys.stderr,
-        )
-        return EXIT_FAILURE
-    except TypeFuelExhausted as exc:
-        print(f"undetermined: {exc}", file=sys.stderr)
-        return EXIT_UNDETERMINED
-    except TypeCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(_show_type(lang, ty, args))
+    typed = checker.infer(term) if expected is None else checker.check(term, expected)
+    print(_show_type(lang, checker.type_of(typed), args))
     for residual in checker.ctx.constraints:
         print(print_constraint(lang, residual))
     return EXIT_OK
@@ -212,21 +171,29 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     lang = get_language(args.lang)
+    run = {"reduce": _run_reduce, "unify": _run_unify}.get(args.command, _run_typed)
     try:
-        if args.command == "reduce":
-            return _run_reduce(lang, args)
-        if args.command == "unify":
-            return _run_unify(lang, args)
-        return _run_typed(lang, args)
+        return run(lang, args)
+    except Clash as exc:
+        shown = print_constraint(lang, exc.constraint)
+        code, message = EXIT_FAILURE, f"no solution: rigid heads clash in {shown}"
+    except UnificationFailed as exc:
+        code, message = EXIT_FAILURE, f"no solution: {exc}"
+    except UnificationFailure as exc:
+        shown = print_constraint(lang, exc.constraint)
+        code, message = EXIT_FAILURE, f"type error: cannot unify types in {shown}"
+    except DependencyEscape as exc:
+        shown = print_term(lang, erase(exc.offending), binder_names=("x0",))
+        code = EXIT_FAILURE
+        message = f"type error: inferred type {shown!r} depends on its bound variable x0"
+    except Undetermined as exc:
+        code, message = EXIT_UNDETERMINED, f"undetermined: {exc}"
     except ParseError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"syntax error: {exc}"
+    except (ValueError, OSError, TypeCheckError) as exc:
+        code, message = EXIT_USAGE, f"error: {exc}"
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,31 +3,36 @@
 A reducer maps operator tags to rules.  A rule contracts an eliminator
 node once the child it scrutinises, its *principal* child, is in weak head
 normal form.  The rule is a callable ``rule(node, head)`` with an integer
-attribute ``principal``:
+attribute ``principal`` and a tag attribute ``intro``:
 
 - ``node`` is the eliminator as it stands, children unreduced;
 - ``head`` is the weak head normal form of ``node.children[principal]``;
 - the result is the contractum, or ``None`` when ``node`` is stuck.
 
-A wrapper around a rule must carry ``principal`` and, where the rule has
-one, ``intro`` over (the unifier reads both, see below), as
-``functools.wraps`` on a :class:`Rule` does.  :func:`reduce` walks the head spine itself,
-with an explicit stack: it reduces the principal child first, then calls
-the rule once, then reduces the contractum in the node's place.  A stuck
-node keeps its reduced principal child.  Rules never call back into the
+``intro`` is the tag of the node the rule contracts against.  The unifier
+reads both attributes (see below), so a wrapper around a rule must carry
+them over, as ``functools.wraps`` on a :class:`Rule` does.
+
+:func:`reduce` walks the head spine itself, with an explicit stack: it
+reduces the principal child first, then calls the rule once, then reduces
+the contractum in the node's place.  A stuck node keeps its reduced
+principal child.  Rules never call back into the
 reducer; the loop reduces every contractum with the whole table, so tables
 for disjoint signatures merged by :func:`sum_reduce` still reduce through
 each other's constructions.  :class:`Rule` and the builders :func:`beta`,
 :func:`projection` and :func:`identity_elim` cover the bundled languages.
 
-The table is also all the unifier knows about computation.  A rule with an
-``intro`` attribute, as :class:`Rule` has, tells it what to guess for a
-metavariable in the principal slot (an ``intro`` skeleton), and a
-language's shapes are eliminator tags whose head sits in that same slot
-(see :mod:`metaterm.unification`).
+The table is also all the unifier knows about computation.  A rule's
+``intro`` tells it what to guess for a metavariable in the principal slot
+(an ``intro`` skeleton), and a language's shapes are eliminator tags whose
+head sits in that same slot (see :mod:`metaterm.unification`).
 
 Metavariable applications reduce strictly: their arguments are reduced,
 the application itself remains.
+
+A budget that runs out raises :class:`Undetermined`, the one exception for
+the "undetermined" outcome of every layer: the unifier and the type
+checker let it through as it is.
 """
 
 from __future__ import annotations
@@ -44,8 +49,9 @@ Reducer = Mapping[str, Callable[[Op, Term], "Term | None"]]
 DEFAULT_REDUCE_FUEL = 10_000
 
 
-class FuelExhausted(Exception):
-    """Step budget exceeded; the term most likely diverges."""
+class Undetermined(Exception):
+    """A budget ran out before an answer: head steps here, guesses or
+    candidates in the unifier."""
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,7 @@ def reduce(term: Term, rules: Reducer, fuel: int = DEFAULT_REDUCE_FUEL) -> Term:
                     break
                 budget -= 1
                 if budget < 0:
-                    raise FuelExhausted(f"no WHNF within {fuel} head steps")
+                    raise Undetermined(f"no WHNF within {fuel} head steps")
                 pending.append((t, rule))
                 t = t.children[rule.principal]
             elif type(t) is MetaApp and t.args:

@@ -13,6 +13,11 @@ A rule is a generator ``rule(checker, node)`` run by
 :func:`~metaterm.terms.run`: ``(yield checker.step(child))`` evaluates to
 the annotated child, and the rule returns the annotated node.  Nesting in
 the input never nests Python calls.
+
+An ill-typed term raises :class:`TypeCheckError` (:class:`UnificationFailure`
+or :class:`DependencyEscape` among them); a search or reduction budget that
+runs out raises :class:`~metaterm.reduction.Undetermined`, passed through
+from the reducer and the unifier unchanged.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Generator
 
 from .metavar import FreshSupply, MetaSubstitution, apply_substs, metas_of
-from .reduction import FuelExhausted as ReductionFuelExhausted
 from .reduction import reduce
 from .signature import INF_UNIVERSE_TAG
 from .terms import (
@@ -39,13 +43,7 @@ from .terms import (
     trans,
     weaken,
 )
-from .unification import (
-    Constraint,
-    SearchConfig,
-    Undetermined,
-    UnificationFailed,
-    unify,
-)
+from .unification import Constraint, SearchConfig, UnificationFailed, unify
 
 #: The annotation terminator: the type of types, itself unannotated.
 INFINITE_UNIVERSE = Op(INF_UNIVERSE_TAG)
@@ -75,10 +73,6 @@ class DependencyEscape(TypeCheckError):
 
     def __str__(self) -> str:  # on demand: the type may be deep
         return f"inferred type depends on its bound variable: {self.offending}"
-
-
-class FuelExhausted(TypeCheckError):
-    """Type-level unification or reduction ran out of fuel."""
 
 
 def erase(term: Term) -> Term:
@@ -183,9 +177,7 @@ class TypeChecker:
                 return term
             case Free(name):
                 if name not in self.ctx.free_var_types:
-                    tm = MetaApp(self.ctx.fresh.fresh())
-                    self.ctx.meta_var_types[tm.meta] = INFINITE_UNIVERSE
-                    self.ctx.free_var_types[name] = tm
+                    self.ctx.free_var_types[name] = self.fresh_type_meta_var(0)
                 return term
             case MetaApp(name, args):
                 arity = self.ctx.meta_arities.setdefault(name, len(args))
@@ -195,9 +187,7 @@ class TypeChecker:
                         f" and to {len(args)} arguments"
                     )
                 if name not in self.ctx.meta_var_types:
-                    tm = MetaApp(self.ctx.fresh.fresh())
-                    self.ctx.meta_var_types[tm.meta] = INFINITE_UNIVERSE
-                    self.ctx.meta_var_types[name] = tm
+                    self.ctx.meta_var_types[name] = self.fresh_type_meta_var(0)
                 typed_args = []
                 for a in args:
                     typed_args.append((yield self.step(a)))
@@ -274,18 +264,13 @@ class TypeChecker:
                 self.clarify_term(actual), self.clarify_term(expected), self.depth, names
             )
             raise UnificationFailure(shown) from exc
-        except (Undetermined, ReductionFuelExhausted) as exc:
-            raise FuelExhausted(str(exc)) from exc
         self.ctx.substs = solution.substs
         self.ctx.constraints = list(solution.residual)
 
     def whnf(self, term: Term) -> Term:
         """Weak head normal form, substitutions applied first (types may
         compute)."""
-        try:
-            return reduce(self.clarify_term(term), self.lang.reducer, self.cfg.reduce_fuel)
-        except ReductionFuelExhausted as exc:
-            raise FuelExhausted(str(exc)) from exc
+        return reduce(self.clarify_term(term), self.lang.reducer, self.cfg.reduce_fuel)
 
     def clarify_term(self, term: Term) -> Term:
         return apply_substs(self.lang.typed_signature, self.ctx.substs, term)

@@ -18,7 +18,10 @@ principal slot is guessed to be the rule's ``intro`` node, and a shape is
 an eliminator with its head in that slot.  Flex-flex constraints are
 returned unsolved.  The procedure is semi-decidable: a fuel budget, one
 unit per branch taken, inversions included, turns non-termination into an
-explicit "undetermined" outcome, distinct from definite failure.
+explicit "undetermined" outcome, distinct from definite failure
+(:class:`UnificationFailed`).  Every exhausted budget, the reducer's head
+steps included, raises :class:`Undetermined` (re-exported from
+:mod:`metaterm.reduction`) unchanged.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .metavar import (
     metas_of,
     resolve_entries,
 )
-from .reduction import DEFAULT_REDUCE_FUEL, FuelExhausted, reduce
+from .reduction import DEFAULT_REDUCE_FUEL, Undetermined, reduce
 from .signature import Signature, SlotKind, zip_match
 from .terms import Bound, Free, Hole, MetaApp, Op, Term, rebuild, subterms
 
@@ -57,10 +60,6 @@ class Clash(UnificationFailed):
 
     def __str__(self) -> str:  # on demand: the search raises many, shows few
         return f"rigid heads clash in {self.constraint}"
-
-
-class Undetermined(Exception):
-    """Fuel exhausted with flex-rigid constraints remaining."""
 
 
 @dataclass(frozen=True)
@@ -169,9 +168,8 @@ def _collect_guesses(lang, term: Term, supply: FreshSupply, out: dict[str, MetaA
     for t, _, parent, slot in subterms(term):
         if type(t) is MetaApp and t.meta not in out and type(parent) is Op:
             rule = lang.reducer.get(parent.tag)
-            intro = getattr(rule, "intro", None)
-            if intro is not None and rule.principal == slot:
-                out[t.meta] = _skeleton(lang.signature, intro, len(t.args), supply)
+            if rule is not None and rule.principal == slot:
+                out[t.meta] = _skeleton(lang.signature, rule.intro, len(t.args), supply)
 
 
 def simplify_all(
@@ -185,7 +183,7 @@ def simplify_all(
     each one once.
 
     Raises :class:`Clash` on a rigid-rigid mismatch and
-    :class:`Undetermined` when the guess budget runs out.
+    :class:`Undetermined` when the guess or head-step budget runs out.
     """
     sig = lang.signature
     queue: deque[Constraint] = deque(constraints)
@@ -297,14 +295,12 @@ def invert(lang, c: Constraint, supply: FreshSupply) -> MetaSubstitution | None:
 
 
 def _may_contract(lang, node: Op) -> bool:
-    """Is ``node`` a redex?  An eliminator whose rule names no ``intro``
-    counts as one: only calling the rule could tell."""
+    """Is ``node`` a redex: an eliminator over its rule's ``intro``?"""
     rule = lang.reducer.get(node.tag)
     if rule is None:
         return False
-    intro = getattr(rule, "intro", None)
     head = node.children[rule.principal]
-    return intro is None or (type(head) is Op and head.tag == intro)
+    return type(head) is Op and head.tag == rule.intro
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +433,6 @@ def unify(
         clash = None
         try:
             cs, s = simplify_all(lang, cs, s, cfg, supply)
-        except FuelExhausted as exc:
-            raise Undetermined(str(exc)) from exc
         except Clash as exc:
             clash = exc
         if clash is None:

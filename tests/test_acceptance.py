@@ -24,7 +24,7 @@ from metaterm.metavar import (
     apply_substs,
     extend_substs,
 )
-from metaterm.reduction import FuelExhausted, reduce
+from metaterm.reduction import reduce
 from metaterm.syntax import parse_constraint, parse_term
 from metaterm.terms import (
     Bound,
@@ -238,7 +238,7 @@ def test_criterion_5_solutions_survive_reapplication():
 def test_criterion_6_whnf_idempotent_1000(t):
     try:
         once = reduce(t, ulc.reducer, 200)
-    except FuelExhausted:
+    except Undetermined:
         return  # divergent draws have no WHNF to compare
     assert reduce(once, ulc.reducer, 200) == once
 

@@ -173,6 +173,22 @@ class TestInfer:
         assert code == EXIT_USAGE
         assert "no type system" in err
 
+    def test_head_steps_running_out_in_the_shown_type_is_undetermined(self, capsys):
+        # Inference succeeds; normalising the inferred type for display
+        # needs two head steps.
+        argv = ["--lang", "stlc", "--reduce-fuel", "1", "infer", r"\(x : (\y. \z. y) A B). x"]
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (
+            EXIT_UNDETERMINED, "", "undetermined: no WHNF within 1 head steps\n"
+        )
+
+    def test_candidates_running_out_in_inference_is_undetermined(self, capsys):
+        argv = ["--lang", "mltt", "--fuel", "20", "infer", r"J(?m[\x. first x], a, a, c, b, a)"]
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (
+            EXIT_UNDETERMINED, "", "undetermined: candidate budget (20) exhausted\n"
+        )
+
 
 class TestCheck:
     def test_mltt_polymorphic_identity(self, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaterm import typecheck, unification
+from metaterm import reduction, typecheck, unification
 from metaterm.languages import LANGUAGES
 from metaterm.metavar import apply_substs, metas_of
 from metaterm.reduction import normal_form
@@ -22,7 +22,7 @@ from metaterm.typecheck import (
     UnificationFailure,
     erase,
 )
-from metaterm.unification import SearchConfig
+from metaterm.unification import SearchConfig, Undetermined
 
 from strategies import terms
 
@@ -331,11 +331,33 @@ class TestInvariants:
             TypeChecker(ulc)
 
 
+class TestUndetermined:
+    """Every exhausted budget raises the one ``Undetermined``, whichever
+    layer spends it."""
+
+    def test_one_class_in_every_layer(self):
+        assert unification.Undetermined is reduction.Undetermined
+        assert not issubclass(reduction.Undetermined, TypeCheckError)
+
+    def test_candidate_budget_in_unify_with_expected(self):
+        tc = TypeChecker(mltt, SearchConfig(fuel=20))
+        with pytest.raises(Undetermined, match=r"candidate budget \(20\) exhausted"):
+            tc.infer(parse_term(r"J(?m[\x. first x], a, a, c, b, a)", mltt))
+
+    @pytest.mark.parametrize(
+        "src", [r"\(f : (\y. \z. y) (A -> B) C). f a", r"\(p : (\y. \z. y) (A * B) C). first p"]
+    )
+    def test_head_steps_in_whnf(self, src):
+        tc = TypeChecker(stlc, SearchConfig(reduce_fuel=1))
+        with pytest.raises(Undetermined, match=r"no WHNF within 1 head steps"):
+            tc.infer(parse_term(src, stlc))
+
+
 # The candidate search is depth-first, and some generated terms send it down
 # an endless chain of growing candidates: at the default budgets MLTT
 # ``J(?m[\x. first x], a, a, c, b, a)`` spends about 100 s before running out
-# of fuel.  Small budgets keep every example cheap; a budget running out is a
-# ``FuelExhausted`` failure, which the property skips like any other.
+# of fuel.  Small budgets keep every example cheap; a budget running out
+# raises ``Undetermined``, which the property skips like a type error.
 PROPERTY_BUDGETS = SearchConfig(fuel=50, guess_fuel=5)
 
 
@@ -348,7 +370,7 @@ class TestSubstitutionReads:
         tc = TypeChecker(lang, PROPERTY_BUDGETS)
         try:
             typed = tc.infer(term)
-        except TypeCheckError:
+        except (TypeCheckError, Undetermined):
             return
         assert metas_of(typed).isdisjoint(tc.ctx.substs.entries)
         # The input itself, with the metavariables inference solved replaced.

@@ -3,16 +3,19 @@
     python tools/cli_diff.py --base DIR --head DIR
 
 Replays the bench corpora (``bench/corpus.py`` of this checkout, read only)
-at each of ``SEEDS``, plus ``RANDOM_COMMANDS`` seeded random ``unify``/
-``infer``/``check``/``reduce`` commands in ``ulc``, ``stlc`` and ``mltt`` under small budgets
-(``--fuel 60 --guess-fuel 12``).  Each tree runs every command in one child
-process, in-process through ``metaterm.cli.main`` with standard input,
-output and error captured; a command that runs past ``TIMEOUT_S`` seconds
-is recorded as a time-out.  Lists every command whose exit code, stdout or
-stderr differs between the trees, then one line per exit-code transition
-counting those commands (e.g. ``1 -> 0: 32``; ``0 -> 0`` counts changed
-output under an unchanged exit code), and exits 1 if any differs, 0
-otherwise.
+at each of ``SEEDS``, plus two batches of ``RANDOM_COMMANDS`` seeded random
+``unify``/``infer``/``check``/``reduce`` commands in ``ulc``, ``stlc`` and
+``mltt``: one under small budgets (``--fuel 60 --guess-fuel 12``), one under
+budgets that run out in every layer (``--reduce-fuel 1 --fuel 8
+--guess-fuel 2``).  Each tree runs every command in one child process,
+in-process through ``metaterm.cli.main`` with standard input, output and
+error captured; a command that runs past ``TIMEOUT_S`` seconds is recorded
+as a time-out.  Lists every command whose exit code, stdout or stderr
+differs between the trees, then every other command that ends in a
+traceback in the head tree, then one line per exit-code transition
+counting the differing commands (e.g. ``1 -> 0: 32``; ``0 -> 0`` counts
+changed output under an unchanged exit code).  Exits 1 if any command
+differs or the head tree raises a traceback, 0 otherwise.
 
 Not part of the test suite: a check to run by hand when a change claims
 byte-identical output.
@@ -39,6 +42,8 @@ BUDGETS = ("--fuel", "60", "--guess-fuel", "12")
 SEEDS = (1, 2)
 RANDOM_COMMANDS = 1500
 RANDOM_SEED = 0
+TINY_BUDGETS = ("--reduce-fuel", "1", "--fuel", "8", "--guess-fuel", "2")
+TINY_SEED = 11
 #: Seconds a command may run before it is recorded as a time-out.
 TIMEOUT_S = 10.0
 #: Address-space cap of a replaying child, so a runaway command fails alone.
@@ -121,7 +126,9 @@ def _meta(rng: random.Random, lang: str, scope: list[str], depth: int) -> str:
     return f"?{name}[{', '.join(args)}]"
 
 
-def random_commands(count: int, seed: int) -> list[tuple[str, list[str], str | None]]:
+def random_commands(
+    count: int, seed: int, budgets: tuple[str, ...], label: str
+) -> list[tuple[str, list[str], str | None]]:
     rng = random.Random(seed)
     out = []
     for i in range(count):
@@ -129,7 +136,7 @@ def random_commands(count: int, seed: int) -> list[tuple[str, list[str], str | N
         command = rng.choice(("unify", "unify", "infer", "check", "reduce"))
         if lang == "ulc" and command in ("infer", "check"):
             command = "unify"
-        argv = ["--lang", lang, *BUDGETS, command]
+        argv = ["--lang", lang, *budgets, command]
         stdin = None
         if command == "unify":
             lines = []
@@ -148,7 +155,7 @@ def random_commands(count: int, seed: int) -> list[tuple[str, list[str], str | N
             argv += [_term(rng, lang, [], 3), ":", _term(rng, lang, [], 2)]
         else:
             argv.append(_term(rng, lang, [], rng.randrange(1, 5)))
-        out.append((f"random:{i}", argv, stdin))
+        out.append((f"{label}:{i}", argv, stdin))
     return out
 
 
@@ -221,7 +228,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.base is None or args.head is None:
         parser.error("--base and --head are required")
 
-    commands = corpus_commands(SEEDS) + random_commands(RANDOM_COMMANDS, RANDOM_SEED)
+    commands = (
+        corpus_commands(SEEDS)
+        + random_commands(RANDOM_COMMANDS, RANDOM_SEED, BUDGETS, "random")
+        + random_commands(RANDOM_COMMANDS, TINY_SEED, TINY_BUDGETS, "tiny")
+    )
     base = run_tree(args.base.resolve(), commands)
     head = run_tree(args.head.resolve(), commands)
     differing = [i for i, (b, h) in enumerate(zip(base, head)) if b != h]
@@ -229,15 +240,20 @@ def main(argv: list[str] | None = None) -> int:
         print(_shown(commands[i]))
         for side, (code, out, err) in (("base", base[i]), ("head", head[i])):
             print(f"  {side}: exit {code}  stdout {out!r}  stderr {err!r}")
+    tracebacks = [i for i, result in enumerate(head) if result[0] == "traceback"]
+    for i in tracebacks:
+        if i not in differing:
+            print(_shown(commands[i]))
+            print(f"  both: exit traceback  stderr {head[i][2]!r}")
     timeouts = sum(result[0] == "timeout" for result in base + head)
     print(
         f"{len(commands)} commands, {len(differing)} differ, "
-        f"{timeouts} time-outs over both trees"
+        f"{timeouts} time-outs over both trees, {len(tracebacks)} tracebacks in head"
     )
     transitions = Counter(f"{base[i][0]} -> {head[i][0]}" for i in differing)
     for transition, count in sorted(transitions.items()):
         print(f"{transition}: {count}")
-    return 1 if differing else 0
+    return 1 if differing or tracebacks else 0
 
 
 if __name__ == "__main__":
