@@ -158,7 +158,7 @@ def _run_typed(lang, args: argparse.Namespace) -> int:
     _meta_arities((term,) if expected is None else (term, expected))
     checker = TypeChecker(lang, _config(args))
     typed = checker.infer(term) if expected is None else checker.check(term, expected)
-    print(_show_type(lang, checker.type_of(typed), args))
+    print(_show_type(lang, checker.clarify_term(checker.type_of(typed)), args))
     for residual in checker.ctx.constraints:
         print(print_constraint(lang, residual))
     return EXIT_OK

@@ -109,13 +109,14 @@ def _check_acyclic(entries: Mapping[str, MetaAbs], start: Iterable[str]) -> None
 EMPTY_SUBSTS = MetaSubstitution()
 
 
-def apply_substs(sig: Signature, substs: MetaSubstitution, term: Term) -> Term:
+def apply_substs(sig: Signature, substs: MetaSubstitution, term: Term, memo=None) -> Term:
     """Replace every applied metavariable that has an entry, recursively.
 
     Entry bodies may mention metavariables that have entries too; those are
     resolved on the way, so the result mentions no key of ``substs`` (the
     chains end: substitutions are acyclic).  A metavariable without an
-    entry keeps its (substituted) arguments.
+    entry keeps its (substituted) arguments.  ``memo`` is passed to
+    :func:`~metaterm.terms.rebuild`; reuse it only with the same ``substs``.
     """
     if not substs:
         return term
@@ -132,7 +133,7 @@ def apply_substs(sig: Signature, substs: MetaSubstitution, term: Term) -> Term:
             t = instantiate_many(sig, t.args, entry.body)
         return t
 
-    return rebuild(term, enter=resolve)
+    return rebuild(term, enter=resolve, memo=memo)
 
 
 def extend_substs(

@@ -165,6 +165,7 @@ def rebuild(
     depth: int = 0,
     enter: Callable[[Term], Term] | None = None,
     post: Callable[[Op], Term] | None = None,
+    memo: dict | None = None,
 ) -> Term:
     """Map over a term, sharing every subterm that comes back unchanged.
 
@@ -174,14 +175,24 @@ def rebuild(
     are visited; the replacement's children are visited in its place.
     ``post(node)`` rewrites each operator node once its children are
     rebuilt.  Hooks run in the pre-order of :func:`subterms`.
+
+    ``memo`` maps nodes by identity to their results, so a shared subterm
+    is mapped once and its result is shared: the walk is linear in distinct
+    nodes.  Valid only without ``var`` and ``sig`` (a map that ignores
+    depth); reusable across calls with the same hooks.  Entries are
+    ``(node, result)``: holding the node keeps its ``id`` from being reused.
     """
     shifts = None if sig is None else sig.binder_shifts
-    todo: list = [(term, depth)]  # (term, depth) to visit, or a node to assemble
+    todo: list = [(term, depth)]  # (term, depth) to visit, a node to assemble, [node] to memoize
     done: list = []  # rebuilt parts, in visiting order
     pop, push, emit = todo.pop, todo.append, done.append
+    hooked = enter is not None or memo is not None
     while todo:
         item = pop()
         if type(item) is not tuple:
+            if type(item) is list:
+                memo[id(item[0])] = (item[0], done[-1])
+                continue
             t = item
             n = len(t.args) if type(t) is MetaApp else len(t.children)
             ann = done.pop() if type(t) is Op and t.ann is not None else None
@@ -196,8 +207,15 @@ def rebuild(
             emit(t if post is None else post(t))
             continue
         t, d = item
-        if enter is not None and (type(t) is Op or type(t) is MetaApp):
-            t = enter(t)
+        if hooked and (type(t) is Op or type(t) is MetaApp):
+            if memo is not None:
+                hit = memo.get(id(t))
+                if hit is not None and hit[0] is t:
+                    emit(hit[1])
+                    continue
+                push([t])
+            if enter is not None:
+                t = enter(t)
         if type(t) is Op:
             push(t)
             kids = t.children

@@ -87,9 +87,10 @@ class TypeInfo:
     Bound-variable types are stored at their introduction depth (index =
     de Bruijn level) and weakened on lookup; free- and metavariable types
     are stored closed (depth 0).  Stored types are never rewritten when
-    ``substs`` grows: :meth:`TypeChecker.type_of` applies the substitution
-    on every lookup.  ``substs`` is triangular (entries may mention solved
-    metavariables; :func:`~metaterm.metavar.apply_substs` follows them).
+    ``substs`` grows, and :meth:`TypeChecker.type_of` returns them as
+    stored; readers that need a solved type call :meth:`TypeChecker.clarify_term`.
+    ``substs`` is triangular (entries may mention solved metavariables;
+    :func:`~metaterm.metavar.apply_substs` follows them).
     """
 
     free_var_types: dict[str, Term] = field(default_factory=dict)
@@ -115,6 +116,7 @@ class TypeChecker:
         self.lang = lang
         self.cfg = cfg
         self.ctx = TypeInfo()
+        self._applied: tuple[MetaSubstitution | None, dict] = (None, {})
 
     # -- scope and state ---------------------------------------------------
 
@@ -217,7 +219,8 @@ class TypeChecker:
 
     def type_of(self, typed: Term) -> Term:
         """The type of a term produced by :meth:`infer` or :meth:`annotate`,
-        at current depth, with the substitution applied."""
+        at current depth, as stored (unsolved: read heads through
+        :meth:`whnf`); an :meth:`infer`/:meth:`check` root's type is solved."""
         sig = self.lang.typed_signature
         match typed:
             case Bound(k):
@@ -234,15 +237,17 @@ class TypeChecker:
                 result = ann if ann is not None else INFINITE_UNIVERSE
             case _:
                 raise TypeCheckError(f"no type for {typed!r}")
-        return self.clarify_term(result)
+        return result
 
     def non_dep(self, scoped_type: Term) -> Term:
-        """Strengthen a scoped type to current depth; the type must not
-        mention the bound variable (conservatively: no occurrence at all,
-        even inside unsolved metavariable arguments)."""
+        """Strengthen a scoped type to current depth.  Solved, the type must
+        not mention the bound variable, even in unsolved metavariable
+        arguments; it is solved only if it mentions it (solving adds none)."""
         sig = self.lang.typed_signature
         if mentions_bound(sig, scoped_type, 0):
-            raise DependencyEscape(scoped_type)
+            scoped_type = self.clarify_term(scoped_type)
+            if mentions_bound(sig, scoped_type, 0):
+                raise DependencyEscape(scoped_type)
         return strengthen(sig, scoped_type)
 
     # -- unification bridge ------------------------------------------------
@@ -273,7 +278,12 @@ class TypeChecker:
         return reduce(self.clarify_term(term), self.lang.reducer, self.cfg.reduce_fuel)
 
     def clarify_term(self, term: Term) -> Term:
-        return apply_substs(self.lang.typed_signature, self.ctx.substs, term)
+        """``term`` with the substitution applied, through one identity memo
+        per ``ctx.substs`` object: shared annotations are applied once."""
+        substs = self.ctx.substs
+        if self._applied[0] is not substs:
+            self._applied = (substs, {})
+        return apply_substs(self.lang.typed_signature, substs, term, self._applied[1])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaterm.languages import LANGUAGES
+from metaterm.metavar import MetaAbs, MetaSubstitution, apply_substs
 from metaterm.signature import SlotKind, make_signature
 from metaterm.terms import (
     Bound,
@@ -19,6 +20,7 @@ from metaterm.terms import (
     instantiate,
     instantiate_many,
     mentions_bound,
+    rebuild,
     strengthen,
     substitute_free,
     trans,
@@ -181,3 +183,57 @@ def test_operations_preserve_well_scopedness(t):
     assert well_scoped(sig, weaken(sig, t, 2), 3)
     assert well_scoped(sig, instantiate(sig, t, Free("z")), 0)
     assert well_scoped(sig, substitute_free(sig, {"a": Free("q")}, t), 1)
+
+
+class TestRebuildMemo:
+    def test_shared_subterm_is_entered_once(self):
+        shared = app(Free("a"), Free("b"))
+        entered = []
+
+        def enter(t):
+            entered.append(t)
+            return app(Free("c"), t.children[1]) if t is shared else t
+
+        out = rebuild(app(shared, shared), enter=enter, memo={})
+        assert sum(t is shared for t in entered) == 1
+        assert out.children[0] is out.children[1]
+        assert out == app(app(Free("c"), Free("b")), app(Free("c"), Free("b")))
+
+
+def _by_arity(t):
+    """``t`` with each metavariable renamed after its arity (``m`` applied
+    to two arguments becomes ``m2``), so that one substitution fits it."""
+    return rebuild(
+        t, enter=lambda n: MetaApp(f"{n.meta}{len(n.args)}", n.args) if type(n) is MetaApp else n
+    )
+
+
+# Each ``m<k>`` resolves through ``n<k>``, so the walk enters the fresh nodes
+# that ``instantiate_many`` builds, and most of them die before it ends;
+# ``n2`` stays unsolved.
+CHAINED = MetaSubstitution(
+    {
+        **{
+            f"m{k}": MetaAbs(
+                k,
+                app(lam(app(Bound(0), Hole(0) if k else Free("c"))), MetaApp(f"n{k}", tuple(map(Hole, range(k))))),
+            )
+            for k in range(3)
+        },
+        "n0": MetaAbs(0, lam(app(Bound(0), Free("d")))),
+        "n1": MetaAbs(1, app(Hole(0), lam(Hole(0)))),
+    }
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(terms(SIG, size=4), min_size=1, max_size=4))
+def test_memo_agrees_with_no_memo(ts):
+    """A memo reused over shared subterms and over several calls gives what
+    no memo gives.  Entries keep their keys alive: keyed by ``id`` alone,
+    a dead node's ``id`` reused by a new one read back a wrong subterm."""
+    ts = [_by_arity(t) for t in ts]
+    dags = ts + [app(a, b) for a, b in zip(ts, ts[1:] + ts[:1])]
+    memo: dict = {}
+    for t in dags + dags:
+        assert apply_substs(SIG, CHAINED, t, memo) == apply_substs(SIG, CHAINED, t)

@@ -361,6 +361,26 @@ class TestUndetermined:
 PROPERTY_BUDGETS = SearchConfig(fuel=50, guess_fuel=5)
 
 
+def apply_chain(n: int) -> str:
+    """``\\f. \\a1. … \\an. f a1 … an``."""
+    params = " ".join(f"a{i}" for i in range(1, n + 1))
+    binders = "".join(f"\\a{i}. " for i in range(1, n + 1))
+    return f"\\f. {binders}f {params}"
+
+
+def distinct_nodes(term) -> int:
+    """Operator nodes and metavariable applications of ``term``, counted
+    once each by identity however often they are shared."""
+    seen: dict[int, object] = {}
+    todo = [term]
+    while todo:
+        t = todo.pop()
+        if type(t) in (Op, MetaApp) and id(t) not in seen:
+            seen[id(t)] = t
+            todo.extend(t.args if type(t) is MetaApp else (*t.children, t.ann))
+    return len(seen)
+
+
 class TestSubstitutionReads:
     @pytest.mark.parametrize("lang", [stlc, mltt], ids=["stlc", "mltt"])
     @settings(max_examples=150, deadline=None)
@@ -395,13 +415,41 @@ class TestSubstitutionReads:
 
         def reads(n: int) -> int:
             nonlocal calls
-            params = " ".join(f"a{i}" for i in range(1, n + 1))
-            binders = "".join(f"\\a{i}. " for i in range(1, n + 1))
             calls = 0
-            TypeChecker(stlc).infer(parse_term(f"\\f. {binders}f {params}", stlc))
+            TypeChecker(stlc).infer(parse_term(apply_chain(n), stlc))
             return calls
 
         assert reads(32) <= 2.2 * reads(16)
+
+    def test_infer_keeps_sharing_on_an_apply_chain(self):
+        # Each annotation shares its children's types; applying the
+        # substitution at the root keeps that sharing (the tree is
+        # quadratic in n, the distinct nodes linear).
+        def distinct(n: int) -> int:
+            return distinct_nodes(TypeChecker(stlc).infer(parse_term(apply_chain(n), stlc)))
+
+        assert distinct(128) <= 2.2 * distinct(64)
+
+    @pytest.mark.parametrize(
+        "lang, src",
+        [
+            (stlc, r"\x. \y. y"),
+            (stlc, apply_chain(6)),
+            (stlc, r"\p. <second p, first p>"),
+            (mltt, r"\f. \x. f (f x)"),
+            (mltt, r"\p. second p"),
+        ],
+    )
+    def test_root_carries_its_solved_type(self, lang, src):
+        tc = TypeChecker(lang)
+        typed = tc.infer(parse_term(src, lang))
+        assert tc.type_of(typed) == tc.clarify_term(tc.type_of(typed))
+
+    def test_type_of_returns_the_stored_type(self):
+        tc = TypeChecker(stlc)
+        typed = tc.annotate(parse_term(r"\f. \x. f x", stlc))
+        assert tc.type_of(typed) is typed.ann
+        assert metas_of(typed.ann) & set(tc.ctx.substs.entries)
 
 
 def f_tower(levels: int) -> str:
