@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -19,6 +19,7 @@ if TYPE_CHECKING:
 
 # Annotation terminator: the one tag shared by every typed signature.
 INF_UNIVERSE_TAG = "UInf"
+_shared = cache(dict)  # one ``binder_shifts`` dict per distinct table
 
 
 class SlotKind(Enum):
@@ -64,11 +65,14 @@ class Signature:
 
     @cached_property
     def binder_shifts(self) -> dict[str, tuple[int, ...]]:
-        """Per operator tag, the binders each slot adds: 1 for a scope."""
-        return {
-            tag: tuple(1 if kind is SlotKind.SCOPE else 0 for kind in op.slots)
+        """Per binding operator tag, the binders each slot adds: 1 for a
+        scope.  Equal tables are one dict, so a typed signature shares its
+        plain one's, and it keys the cached loose ranges (``terms.loose``)."""
+        return _shared(frozenset(
+            (tag, tuple(1 if kind is SlotKind.SCOPE else 0 for kind in op.slots))
             for tag, op in self.operators.items()
-        }
+            if SlotKind.SCOPE in op.slots
+        ))
 
     def equivalent_tags(self, a: str, b: str) -> bool:
         if a == b:

@@ -4,11 +4,18 @@ Terms are immutable values. Binding is positional: a scope slot introduces
 exactly one bound variable, referenced by ``Bound(0)`` from the innermost
 binder. ``Hole`` indices are the numbered parameters of metavariable
 abstraction bodies and are only legal there.
+
+Operator nodes and metavariable applications cache their loose range
+(:func:`loose`), keyed by the signature's ``binder_shifts`` table, outside
+the dataclass fields: ``==``, hashing and ``repr`` never see it.  Weakening
+and strengthening compute it first and skip closed subterms; instantiation
+skips those already known (a redex body is mostly fresh and open).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from operator import is_
 from typing import Callable, Generator, Iterator, Mapping, Sequence, Union
 
@@ -42,6 +49,7 @@ class MetaApp:
 
     meta: str
     args: tuple["Term", ...] = ()
+    _loose, _scopes = 0, None  # not fields: the cached loose range and its key
 
     def __eq__(self, other: object) -> bool:
         return _equal(self, other) if type(other) is MetaApp else NotImplemented
@@ -59,6 +67,7 @@ class Op:
     tag: str
     children: tuple["Term | None", ...] = ()
     ann: "Term | None" = None
+    _loose, _scopes = 0, None  # not fields: the cached loose range and its key
 
     def __eq__(self, other: object) -> bool:
         return _equal(self, other) if type(other) is Op else NotImplemented
@@ -127,7 +136,7 @@ def _equal(a: Term, b: Term) -> bool:
 
 
 def subterms(
-    term: Term, sig: Signature | None = None, depth: int = 0
+    term: Term, sig: Signature | None = None, depth: int = 0, skip_closed: bool = False
 ) -> Iterator[tuple[Term, int, Term | None, int]]:
     """Every subterm as ``(node, depth, parent, slot)``, in pre-order.
 
@@ -135,19 +144,22 @@ def subterms(
     ``len(children)``); the root has parent ``None``.  Absent optional
     children are skipped.  A node's children are looked at only when the
     next item is requested, so a consumer may stop at a malformed node.
+    ``skip_closed`` skips the subterms whose :func:`loose` range is <= depth.
     """
     shifts = None if sig is None else sig.binder_shifts
     todo = [(term, depth, None, 0)]
     pop, push = todo.pop, todo.append
     while todo:
         item = pop()
+        if skip_closed and loose(sig, item[0]) <= item[1]:
+            continue
         yield item
         t, d = item[0], item[1]
         if type(t) is Op:
             kids = t.children
             if t.ann is not None:
                 push((t.ann, d, t, len(kids)))
-            inc = None if shifts is None else shifts[t.tag]
+            inc = None if shifts is None else shifts.get(t.tag)
             for i in range(len(kids) - 1, -1, -1):
                 if kids[i] is not None:
                     push((kids[i], d if inc is None else d + inc[i], t, i))
@@ -166,6 +178,7 @@ def rebuild(
     enter: Callable[[Term], Term] | None = None,
     post: Callable[[Op], Term] | None = None,
     memo: dict | None = None,
+    skip_closed: bool = False,
 ) -> Term:
     """Map over a term, sharing every subterm that comes back unchanged.
 
@@ -181,12 +194,16 @@ def rebuild(
     nodes.  Valid only without ``var`` and ``sig`` (a map that ignores
     depth); reusable across calls with the same hooks.  Entries are
     ``(node, result)``: holding the node keeps its ``id`` from being reused.
+
+    ``skip_closed`` (with ``sig``) is the pruning hook: a node whose cached
+    :func:`loose` range is at most its depth comes back unvisited (none is
+    computed).  Valid when ``var`` keeps ``Free``, ``Hole``, ``Bound(k < d)``.
     """
     shifts = None if sig is None else sig.binder_shifts
     todo: list = [(term, depth)]  # (term, depth) to visit, a node to assemble, [node] to memoize
     done: list = []  # rebuilt parts, in visiting order
     pop, push, emit = todo.pop, todo.append, done.append
-    hooked = enter is not None or memo is not None
+    hooked = enter is not None or memo is not None or skip_closed
     while todo:
         item = pop()
         if type(item) is not tuple:
@@ -208,6 +225,9 @@ def rebuild(
             continue
         t, d = item
         if hooked and (type(t) is Op or type(t) is MetaApp):
+            if skip_closed and t._scopes is shifts and t._loose <= d:
+                emit(t)
+                continue
             if memo is not None:
                 hit = memo.get(id(t))
                 if hit is not None and hit[0] is t:
@@ -221,7 +241,7 @@ def rebuild(
             kids = t.children
             if t.ann is not None:
                 push((t.ann, d))
-            inc = None if shifts is None else shifts[t.tag]
+            inc = None if shifts is None else shifts.get(t.tag)
             for i in range(len(kids) - 1, -1, -1):
                 push((kids[i], d if inc is None else d + inc[i]))
         elif type(t) is MetaApp and t.args:
@@ -233,15 +253,39 @@ def rebuild(
     return done[0]
 
 
+def loose(sig: Signature, term: Term | None) -> int:
+    """1 + the largest loose ``Bound`` index of ``term``, 0 if it is closed.
+    A post-order walk caches it on each node that lacks it under ``sig``."""
+    if type(term) is not Op and type(term) is not MetaApp:
+        return term.index + 1 if type(term) is Bound else 0
+    key, todo = sig.binder_shifts, [term]  # nodes to look at; [node, kids, shifts] to compute
+    while todo:
+        t = todo.pop()
+        if type(t) is list:
+            t, kids, inc = t
+            n = 0
+            for c, s in zip_longest(kids, inc, fillvalue=0):
+                k = type(c)
+                v = c._loose if k is Op or k is MetaApp else c.index + 1 if k is Bound else 0
+                n = v - s if v - s > n else n
+            object.__setattr__(t, "_loose", n)
+            object.__setattr__(t, "_scopes", key)
+        elif t._scopes is not key:
+            kids = t.args if type(t) is MetaApp else (*t.children, t.ann)
+            todo.append([t, kids, () if type(t) is MetaApp else key.get(t.tag, ())])
+            todo.extend([c for c in kids if type(c) is Op or type(c) is MetaApp])
+    return term._loose
+
+
 def weaken(sig: Signature, term: Term, by: int, at: int = 0) -> Term:
     """Shift every ``Bound(k)`` with ``k >= at`` up by ``by``."""
-    if by == 0:
+    if by == 0 or loose(sig, term) <= at:
         return term
 
     def var(t: Term, d: int) -> Term:
         return Bound(t.index + by) if type(t) is Bound and t.index >= d else t
 
-    return rebuild(term, var, sig=sig, depth=at)
+    return rebuild(term, var, sig=sig, depth=at, skip_closed=True)
 
 
 def instantiate(sig: Signature, body: Term, arg: Term) -> Term:
@@ -259,7 +303,7 @@ def instantiate(sig: Signature, body: Term, arg: Term) -> Term:
                 return Bound(t.index - 1)
         return t
 
-    return rebuild(body, var, sig=sig)
+    return rebuild(body, var, sig=sig, skip_closed=True)
 
 
 def instantiate_many(sig: Signature, assign: Sequence[Term], body: Term) -> Term:
@@ -348,7 +392,8 @@ def free_names(term: Term) -> set[str]:
 def mentions_bound(sig: Signature, term: Term, index: int) -> bool:
     """Does ``Bound(index)`` (adjusted under inner binders) occur in the term?"""
     return any(
-        type(t) is Bound and t.index == d for t, d, _, _ in subterms(term, sig, index)
+        type(t) is Bound and t.index == d
+        for t, d, _, _ in subterms(term, sig, index, skip_closed=True)
     )
 
 
@@ -357,6 +402,8 @@ def strengthen(sig: Signature, term: Term, at: int = 0) -> Term:
 
     The caller must have checked that ``Bound(at)`` does not occur.
     """
+    if loose(sig, term) <= at:
+        return term
 
     def var(t: Term, d: int) -> Term:
         if type(t) is Bound and t.index >= d:
@@ -365,4 +412,4 @@ def strengthen(sig: Signature, term: Term, at: int = 0) -> Term:
             return Bound(t.index - 1)
         return t
 
-    return rebuild(term, var, sig=sig, depth=at)
+    return rebuild(term, var, sig=sig, depth=at, skip_closed=True)

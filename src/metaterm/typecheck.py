@@ -37,7 +37,6 @@ from .terms import (
     Op,
     Term,
     instantiate,
-    mentions_bound,
     run,
     strengthen,
     trans,
@@ -244,11 +243,14 @@ class TypeChecker:
         not mention the bound variable, even in unsolved metavariable
         arguments; it is solved only if it mentions it (solving adds none)."""
         sig = self.lang.typed_signature
-        if mentions_bound(sig, scoped_type, 0):
+        try:
+            return strengthen(sig, scoped_type)
+        except ValueError:
             scoped_type = self.clarify_term(scoped_type)
-            if mentions_bound(sig, scoped_type, 0):
-                raise DependencyEscape(scoped_type)
-        return strengthen(sig, scoped_type)
+        try:
+            return strengthen(sig, scoped_type)
+        except ValueError:
+            raise DependencyEscape(scoped_type) from None
 
     # -- unification bridge ------------------------------------------------
 
@@ -294,7 +296,7 @@ class TypeChecker:
 
 
 def _scoped(tc: TypeChecker, former: str) -> int:
-    return tc.lang.typed_signature.binder_shifts[former][1]
+    return tc.lang.typed_signature.binder_shifts.get(former, (0, 0))[1]
 
 
 def type_former(universe: Term):

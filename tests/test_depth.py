@@ -8,11 +8,14 @@ limit handles terms thousands of levels deep.
 from __future__ import annotations
 
 import ast
+import importlib.util
+import io
 import os
 import re
 import subprocess
 import sys
 import threading
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,7 @@ from metaterm import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SCALING = SRC.parent / "tools" / "scaling.py"
 
 
 def metaterm(*argv: str, stdin: str | None = None) -> subprocess.CompletedProcess:
@@ -80,6 +84,29 @@ def test_long_application_spine_prints_back():
     text = "f " + " ".join(f"a{i}" for i in range(1, 3001))
     result = metaterm("reduce", text)
     assert (result.returncode, result.stdout, result.stderr) == (0, text + "\n", "")
+
+
+def test_long_mltt_arrow_chain_prints_back():
+    text = " -> ".join(["a"] * 3001)
+    result = metaterm("--lang", "mltt", "reduce", text)
+    assert (result.returncode, result.stdout, result.stderr) == (0, text + "\n", "")
+
+
+def test_mltt_arrow_chain_walks_are_linear():
+    """Parsing weakens each arrow's right side and printing strengthens
+    it; both skip it once its range is cached, so the term walks visit
+    about twice the nodes for twice the arrows (the count, not the time)."""
+    from metaterm.cli import main
+
+    spec = importlib.util.spec_from_file_location("scaling", SCALING)
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    pops = []
+    for arrows in (1000, 2000):
+        with redirect_stdout(io.StringIO()), scaling.WalkCounter() as walks:
+            assert main(["--lang", "mltt", "reduce", scaling.arrow_chain(arrows)]) == 0
+        pops.append(walks.pops)
+    assert 0 < pops[1] <= 2.2 * pops[0]
 
 
 def test_omega_is_undetermined():

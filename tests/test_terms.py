@@ -19,10 +19,12 @@ from metaterm.terms import (
     free_names,
     instantiate,
     instantiate_many,
+    loose,
     mentions_bound,
     rebuild,
     strengthen,
     substitute_free,
+    subterms,
     trans,
     weaken,
     well_scoped,
@@ -237,3 +239,158 @@ def test_memo_agrees_with_no_memo(ts):
     memo: dict = {}
     for t in dags + dags:
         assert apply_substs(SIG, CHAINED, t, memo) == apply_substs(SIG, CHAINED, t)
+
+
+# -- the cached loose range ------------------------------------------------
+#
+# References written from scratch, by plain recursion over small terms: no
+# cache, no pruning.
+
+
+def _naive_loose(sig, t):
+    match t:
+        case Bound(k):
+            return k + 1
+        case MetaApp(_, args):
+            return max([0, *(_naive_loose(sig, a) for a in args)])
+        case Op(tag, children, ann):
+            scopes = [kind is SlotKind.SCOPE for kind in sig.operators[tag].slots]
+            inner = [_naive_loose(sig, c) - s for c, s in zip(children, scopes) if c is not None]
+            return max([0, *inner, 0 if ann is None else _naive_loose(sig, ann)])
+    return 0
+
+
+def _naive_map(sig, t, bound, d):
+    """``t`` with each ``Bound(k)`` at binder depth ``d`` replaced by ``bound(k, d)``."""
+    match t:
+        case Bound(k):
+            return bound(k, d)
+        case MetaApp(meta, args):
+            return MetaApp(meta, tuple(_naive_map(sig, a, bound, d) for a in args))
+        case Op(tag, children, ann):
+            slots = sig.operators[tag].slots
+            return Op(
+                tag,
+                tuple(
+                    None if c is None else _naive_map(sig, c, bound, d + (kind is SlotKind.SCOPE))
+                    for kind, c in zip(slots, children)
+                ),
+                None if ann is None else _naive_map(sig, ann, bound, d),
+            )
+    return t
+
+
+def _naive_weaken(sig, t, by, at=0):
+    return _naive_map(sig, t, lambda k, d: Bound(k + by if k >= d else k), at)
+
+
+def _naive_instantiate(sig, body, arg):
+    def bound(k, d):
+        return _naive_weaken(sig, arg, d) if k == d else Bound(k - 1 if k > d else k)
+
+    return _naive_map(sig, body, bound, 0)
+
+
+def _naive_strengthen(sig, t, at=0):
+    def bound(k, d):
+        if k == d:
+            raise ValueError("occurs")
+        return Bound(k - 1 if k > d else k)
+
+    return _naive_map(sig, t, bound, at)
+
+
+def _naive_mentions(sig, t, index):
+    try:
+        _naive_strengthen(sig, t, index)
+    except ValueError:
+        return True
+    return False
+
+
+def _copy(t):
+    """A structurally equal term that shares no node with ``t``."""
+    return rebuild(t, post=lambda n: Op(n.tag, n.children, n.ann), enter=lambda n: (
+        MetaApp(n.meta, n.args) if type(n) is MetaApp else n
+    ))
+
+
+@st.composite
+def scoped_terms(draw, lang, depth=3):
+    """A term of ``lang`` at binder depth ``depth`` whose root shares one
+    subterm twice and carries an annotation, so the walks meet both."""
+    sig = lang.signature
+    shared = draw(terms(sig, depth))
+    ann = draw(terms(sig, depth, 2))
+    root = Op("App", (shared, draw(st.sampled_from([shared, _copy(shared)]))), ann)
+    return draw(st.sampled_from([shared, root]))
+
+
+LOOSE_LANGS = pytest.mark.parametrize("lang", [ulc, stlc, LANGUAGES["mltt"]], ids=lambda l: l.name)
+
+
+@LOOSE_LANGS
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_loose_matches_naive_recomputation(lang, data):
+    t = data.draw(scoped_terms(lang))
+    sig = lang.signature
+    loose(sig, data.draw(st.sampled_from([s for s, _, _, _ in subterms(t)])))
+    # a part is cached first: the walk must stop there and still agree
+    assert loose(sig, t) == _naive_loose(sig, t)
+    for s, _, _, _ in subterms(t):
+        assert loose(sig, s) == _naive_loose(sig, s)
+
+
+@LOOSE_LANGS
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pruned_operations_match_unpruned_references(lang, data):
+    sig = lang.signature
+    t = data.draw(scoped_terms(lang))
+    arg = data.draw(terms(sig, 2))
+    by, at, index = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    for _ in range(2):  # before and after the ranges are cached
+        assert weaken(sig, t, by, at) == _naive_weaken(sig, t, by, at)
+        assert instantiate(sig, t, arg) == _naive_instantiate(sig, t, arg)
+        assert mentions_bound(sig, t, index) == _naive_mentions(sig, t, index)
+        if _naive_mentions(sig, t, at):
+            with pytest.raises(ValueError):
+                strengthen(sig, t, at)
+        else:
+            assert strengthen(sig, t, at) == _naive_strengthen(sig, t, at)
+
+
+@LOOSE_LANGS
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reading_the_range_changes_no_observation(lang, data):
+    from metaterm.syntax import print_ast
+
+    t = data.draw(scoped_terms(lang))
+    fresh = _copy(t)
+    before = (repr(t), print_ast(t), hash(t))
+    loose(lang.signature, t)
+    weaken(lang.signature, t, 1)
+    assert (repr(t), print_ast(t), hash(t)) == before == (repr(fresh), print_ast(fresh), hash(fresh))
+    assert t == fresh and fresh == t
+
+
+@LOOSE_LANGS
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_plain_and_typed_signatures_share_one_range(lang, data):
+    t = data.draw(scoped_terms(lang))
+    assert lang.signature.binder_shifts is lang.typed_signature.binder_shifts
+    values = [loose(lang.signature, s) for s, _, _, _ in subterms(t)]
+    assert [loose(lang.typed_signature, s) for s, _, _, _ in subterms(t)] == values
+    nodes = [s for s, _, _, _ in subterms(t) if type(s) in (Op, MetaApp)]
+    assert all(s._scopes is lang.signature.binder_shifts for s in nodes)  # one key
+
+
+def test_closed_terms_are_returned_as_they_are():
+    closed = lam(app(Bound(0), Free("a")))
+    assert weaken(SIG, closed, 3) is closed
+    assert strengthen(SIG, closed) is closed
+    body = app(Bound(0), closed)
+    assert instantiate(SIG, body, Free("b")).children[1] is closed

@@ -1,18 +1,28 @@
-"""Scaling curves of type inference, with work counters.
+"""Scaling curves of type inference and reduction, with work counters.
 
     python tools/scaling.py [--tree DIR] [--repeats N]
 
-Runs ``TypeChecker.infer`` in process on two STLC families:
+Runs four families in process:
 
-- the apply-chain ``\\f. \\a1. … \\an. f a1 … an`` at n = ``CHAIN_SIZES``;
-- the f-tower ``\\f. \\x. f (f (… x))`` at ``TOWER_LEVELS`` levels.
+- ``TypeChecker.infer`` on the STLC apply-chain
+  ``\\f. \\a1. … \\an. f a1 … an`` at n = ``CHAIN_SIZES``;
+- ``TypeChecker.infer`` on the STLC f-tower ``\\f. \\x. f (f (… x))`` at
+  ``TOWER_LEVELS`` levels;
+- the ``reduce`` command (``metaterm.cli.main``) on ULC Church addition
+  applied to ``(\\y. y) a``, at the values ``CHURCH_VALUES``;
+- the ``reduce`` command on the MLTT arrow chain ``a -> a -> … -> a``,
+  which it parses and prints back, at ``ARROWS`` arrows.
 
 For each size it prints the median CPU time of ``--repeats`` plain runs,
-then, from one more run with counters attached: ``apply_substs`` calls,
-operator nodes and metavariable applications built (every ``Op`` and
-``MetaApp`` constructed), and the nodes of the result, distinct by identity
-and as a tree.  The last line is one JSON object with the same rows, and
-the log-log slope of time over size from the smallest to the largest size.
+then, from one more run with counters attached: ``walk_pops``, the items
+popped off the stacks of the term walks (``terms.subterms``,
+``terms.rebuild`` and ``terms.loose`` where the tree has it: one per node
+visited, plus one per node rebuilt or whose range is computed), and for
+the inference families ``apply_substs`` calls, operator nodes and
+metavariable applications built (every ``Op`` and ``MetaApp``
+constructed), and the nodes of the result, distinct by identity and as a
+tree.  The last line is one JSON object with the same rows, and the
+log-log slope of time over size from the smallest to the largest size.
 
 ``--tree`` imports metaterm from ``DIR/src`` (default: this checkout), so
 two source trees can be compared.  Not part of the test suite.
@@ -21,16 +31,22 @@ two source trees can be compared.  Not part of the test suite.
 from __future__ import annotations
 
 import argparse
+import inspect
+import io
 import json
 import math
+import re
 import statistics
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 from time import process_time
 
 ROOT = Path(__file__).resolve().parent.parent
 CHAIN_SIZES = (10, 20, 40, 80, 160)
 TOWER_LEVELS = (150, 300, 600)
+CHURCH_VALUES = (64, 128, 256, 512, 1024)
+ARROWS = (250, 500, 1000, 2000)
 
 
 def apply_chain(n: int) -> str:
@@ -41,6 +57,18 @@ def apply_chain(n: int) -> str:
 
 def f_tower(levels: int) -> str:
     return "\\f. \\x. " + "f (" * levels + "x" + ")" * levels
+
+
+def church_addition(value: int) -> str:
+    def numeral(n: int) -> str:
+        return "(\\f. \\x. " + "f (" * n + "x" + ")" * n + ")"
+
+    add = "(\\m. \\n. \\f. \\x. m f (n f x))"
+    return f"{add} {numeral(value // 2)} {numeral(value - value // 2)} (\\y. y) a"
+
+
+def arrow_chain(arrows: int) -> str:
+    return " -> ".join(["a"] * (arrows + 1))
 
 
 def result_nodes(term) -> tuple[int, int]:
@@ -104,7 +132,43 @@ class Counters:
             setattr(owner, key, value)
 
 
-def measure(source: str, repeats: int) -> dict:
+class WalkCounter:
+    """Counts the items popped off the explicit stacks of the term walks
+    while active, by tracing the lines of ``terms.subterms``,
+    ``terms.rebuild`` and ``terms.loose`` that pop them.  Deterministic,
+    unlike time; the tracing slows the run down."""
+
+    WALKS = ("subterms", "rebuild", "loose")
+
+    def __init__(self):
+        self.pops = 0
+
+    def __enter__(self):
+        from metaterm import terms
+
+        self.lines = {}  # code object -> line numbers of its pops
+        for name in self.WALKS:
+            fn = getattr(terms, name, None)
+            if fn is not None:
+                source, start = inspect.getsourcelines(fn)
+                self.lines[fn.__code__] = {
+                    start + i for i, line in enumerate(source) if re.search(r"= (todo\.)?pop\(\)$", line)
+                }
+
+        def walk(frame, event, arg):
+            if event == "line" and frame.f_lineno in self.lines[frame.f_code]:
+                self.pops += 1
+            return walk
+
+        self.previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: walk if frame.f_code in self.lines else None)
+        return self
+
+    def __exit__(self, *exc):
+        sys.settrace(self.previous)
+
+
+def infer_row(source: str, repeats: int) -> dict:
     from metaterm import LANGUAGES, TypeChecker, parse_term
 
     stlc = LANGUAGES["stlc"]
@@ -115,15 +179,35 @@ def measure(source: str, repeats: int) -> dict:
         TypeChecker(stlc).infer(term)
         times.append(process_time() - start)
     with Counters() as counters:
-        typed = TypeChecker(stlc).infer(term)
+        with WalkCounter() as walks:
+            typed = TypeChecker(stlc).infer(term)
     distinct, tree = result_nodes(typed)
     return {
         "ms": round(1000 * statistics.median(times), 2),
+        "walk_pops": walks.pops,
         "apply_substs_calls": counters.apply_substs,
         "nodes_built": counters.built,
         "result_distinct": distinct,
         "result_tree": tree,
     }
+
+
+def reduce_row(lang: str, source: str, repeats: int) -> dict:
+    """The ``reduce`` command in process: parse, reduce, print."""
+    from metaterm.cli import main
+
+    argv = ["--lang", lang, "reduce", source]
+    times = []
+    for _ in range(repeats + 1):
+        with redirect_stdout(io.StringIO()) as out:
+            start = process_time()
+            code = main(argv)
+            times.append(process_time() - start)
+        if code != 0:
+            raise SystemExit(f"reduce exited {code} on a {lang} item of {len(source)} characters")
+    with redirect_stdout(io.StringIO()), WalkCounter() as walks:
+        main(argv)
+    return {"ms": round(1000 * statistics.median(times[1:]), 2), "walk_pops": walks.pops}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -136,13 +220,15 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(args.tree.resolve() / "src"))
 
     report = {}
-    for family, make, sizes in (
-        ("apply_chain", apply_chain, CHAIN_SIZES),
-        ("f_tower", f_tower, TOWER_LEVELS),
+    for family, row_of, sizes in (
+        ("apply_chain", lambda n: infer_row(apply_chain(n), args.repeats), CHAIN_SIZES),
+        ("f_tower", lambda n: infer_row(f_tower(n), args.repeats), TOWER_LEVELS),
+        ("church_add", lambda n: reduce_row("ulc", church_addition(n), args.repeats), CHURCH_VALUES),
+        ("mltt_arrows", lambda n: reduce_row("mltt", arrow_chain(n), args.repeats), ARROWS),
     ):
         rows = []
         for size in sizes:
-            row = {"size": size, **measure(make(size), args.repeats)}
+            row = {"size": size, **row_of(size)}
             rows.append(row)
             print(family, " ".join(f"{key}={value}" for key, value in row.items()), flush=True)
         first, last = rows[0], rows[-1]
