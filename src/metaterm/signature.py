@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -19,7 +19,7 @@ if TYPE_CHECKING:
 
 # Annotation terminator: the one tag shared by every typed signature.
 INF_UNIVERSE_TAG = "UInf"
-_shared = cache(dict)  # one ``binder_shifts`` dict per distinct table
+_SHIFT_TABLES: dict[frozenset, dict] = {}  # one ``binder_shifts`` dict per distinct table
 
 
 class SlotKind(Enum):
@@ -65,14 +65,15 @@ class Signature:
 
     @cached_property
     def binder_shifts(self) -> dict[str, tuple[int, ...]]:
-        """Per binding operator tag, the binders each slot adds: 1 for a
-        scope.  Equal tables are one dict, so a typed signature shares its
-        plain one's, and it keys the cached loose ranges (``terms.loose``)."""
-        return _shared(frozenset(
+        """Per binding operator tag, the binders each slot adds: 1 for a scope.
+        One dict per distinct table, shared by a language's plain and typed
+        signatures: it keys the cached loose ranges (``terms.loose``)."""
+        table = frozenset(
             (tag, tuple(1 if kind is SlotKind.SCOPE else 0 for kind in op.slots))
             for tag, op in self.operators.items()
             if SlotKind.SCOPE in op.slots
-        ))
+        )
+        return _SHIFT_TABLES.setdefault(table, dict(table))
 
     def equivalent_tags(self, a: str, b: str) -> bool:
         if a == b:
