@@ -198,8 +198,8 @@ def reduce_row(lang: str, source: str, repeats: int) -> dict:
 
     argv = ["--lang", lang, "reduce", source]
     times = []
-    for _ in range(repeats + 1):
-        with redirect_stdout(io.StringIO()) as out:
+    for _ in range(repeats + 1):  # the first run is a warm-up, left out
+        with redirect_stdout(io.StringIO()):
             start = process_time()
             code = main(argv)
             times.append(process_time() - start)
