@@ -1,34 +1,22 @@
-"""Composable weak-head reduction.
+"""Composable weak-head reduction on an environment machine.
 
-A reducer maps operator tags to rules.  A rule contracts an eliminator
-node once the child it scrutinises, its *principal* child, is in weak head
-normal form.  The rule is a callable ``rule(node, head)`` with an integer
-attribute ``principal`` and a tag attribute ``intro``:
+A reducer maps operator tags to rules.  A :class:`Rule` fires on an
+eliminator whose *principal* child reduces to an ``intro`` node.  Its
+contractum is data, one child of either node whose binders eliminator
+children fill: one that builds new structure (a recursor's) cannot be
+expressed.  The unifier reads ``principal`` and ``intro`` too, so a rule's
+wrapper must carry its attributes over, as ``functools.wraps`` does.
 
-- ``node`` is the eliminator as it stands, children unreduced;
-- ``head`` is the weak head normal form of ``node.children[principal]``;
-- the result is the contractum, or ``None`` when ``node`` is stuck.
-
-``intro`` is the tag of the node the rule contracts against.  The unifier
-reads both attributes (see below), so a wrapper around a rule must carry
-them over, as ``functools.wraps`` on a :class:`Rule` does.
-
-:func:`reduce` walks the head spine itself, with an explicit stack: it
-reduces the principal child first, then calls the rule once, then reduces
-the contractum in the node's place.  A stuck node keeps its reduced
-principal child.  Rules never call back into the
-reducer; the loop reduces every contractum with the whole table, so tables
-for disjoint signatures merged by :func:`sum_reduce` still reduce through
-each other's constructions.  :class:`Rule` and the builders :func:`beta`,
-:func:`projection` and :func:`identity_elim` cover the bundled languages.
-
-The table is also all the unifier knows about computation.  A rule's
-``intro`` tells it what to guess for a metavariable in the principal slot
-(an ``intro`` skeleton), and a language's shapes are eliminator tags whose
-head sits in that same slot (see :mod:`metaterm.unification`).
-
-Metavariable applications reduce strictly: their arguments are reduced,
-the application itself remains.
+:func:`reduce` walks the head spine with an explicit stack: it reduces the
+principal child, asks the rule once, ``rule(node, head)``, whether it
+fires (one unit of fuel), and goes on with the contractum.  As in
+Krivine's machine, substitution waits in an environment: a binding step
+pushes a closure instead of rebuilding the body it enters, and a variable
+in head position goes on with its closure.  Only what ``reduce`` hands
+back is read back (:func:`terms.close`): the WHNF, a stuck node's other
+children, and a metavariable's arguments, which reduce strictly.  Rules
+never call the reducer, so tables merged by :func:`sum_reduce` reduce
+through each other's constructions.
 
 A budget that runs out raises :class:`Undetermined`, the one exception for
 the "undetermined" outcome of every layer: the unifier and the type
@@ -39,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import is_
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .signature import Signature
-from .terms import MetaApp, Op, Term, instantiate, rebuild
+from .terms import Bound, MetaApp, Op, Term, close, rebuild
 
-Reducer = Mapping[str, Callable[[Op, Term], "Term | None"]]
+Reducer = Mapping[str, "Rule"]
 
 DEFAULT_REDUCE_FUEL = 10_000
 
@@ -56,33 +44,36 @@ class Undetermined(Exception):
 
 @dataclass(frozen=True)
 class Rule:
-    """Contract ``node`` when its principal child reduces to an ``intro``
-    node; ``contract(node, head)`` builds the contractum."""
+    """Fire when the principal child reduces to an ``intro`` node; the
+    contractum is child ``child`` of that node (of the eliminator when
+    ``from_elim``), whose binders the eliminator's children ``binds`` fill,
+    the last one innermost.  A rule that binds carries its signature."""
 
     principal: int
     intro: str
-    contract: Callable[[Op, Op], Term]
+    child: int
+    binds: tuple[int, ...] = ()
+    sig: Signature | None = None
+    from_elim: bool = False
 
-    def __call__(self, node: Op, head: Term) -> Term | None:
-        if type(head) is Op and head.tag == self.intro:
-            return self.contract(node, head)
-        return None
+    def __call__(self, node: Op, head: Term) -> bool:
+        return type(head) is Op and head.tag == self.intro
 
 
 def beta(sig: Signature) -> Rule:
     """``App(Lam(body), arg)`` to ``body[arg]``; the lambda body is the
     last child of ``Lam`` (an optional domain may precede it)."""
-    return Rule(0, "Lam", lambda app, lam: instantiate(sig, lam.children[-1], app.children[1]))
+    return Rule(0, "Lam", -1, binds=(1,), sig=sig)
 
 
 def projection(index: int) -> Rule:
     """``First``/``Second`` of ``Pair(a, b)`` to its ``index``-th component."""
-    return Rule(0, "Pair", lambda proj, pair: pair.children[index])
+    return Rule(0, "Pair", index)
 
 
 def identity_elim() -> Rule:
     """``J(A, a, C, d, x, refl _)`` to ``d``."""
-    return Rule(5, "Refl", lambda j, refl: j.children[3])
+    return Rule(5, "Refl", 3, from_elim=True)
 
 
 def sum_reduce(left: Reducer, right: Reducer) -> Reducer:
@@ -111,10 +102,10 @@ def reduce(term: Term, rules: Reducer, fuel: int = DEFAULT_REDUCE_FUEL) -> Term:
     of fuel.
     """
     budget = fuel
-    # Nodes waiting for a WHNF: (eliminator, its rule), or (metavariable
-    # application, its arguments reduced so far).
-    pending: list[tuple[Term, object]] = []
-    t = term
+    # Nodes waiting for a WHNF, each with its environment: (eliminator, its
+    # rule, env), or (metavariable application, its arguments so far, env).
+    pending: list[tuple[Term, object, list | None]] = []
+    t, env, sig = term, None, None  # the spine's term, its environment, a binding rule's sig
     while True:
         while True:  # down the head spine
             if type(t) is Op:
@@ -124,32 +115,42 @@ def reduce(term: Term, rules: Reducer, fuel: int = DEFAULT_REDUCE_FUEL) -> Term:
                 budget -= 1
                 if budget < 0:
                     raise Undetermined(f"no WHNF within {fuel} head steps")
-                pending.append((t, rule))
+                pending.append((t, rule, env))
                 t = t.children[rule.principal]
             elif type(t) is MetaApp and t.args:
-                pending.append((t, []))
+                pending.append((t, [], env))
                 t = t.args[0]
+            elif type(t) is Bound and env is not None:  # continue with its closure
+                k = t.index
+                while k and env is not None:
+                    k, env = k - 1, env[2]
+                t, env = (Bound(k), None) if env is None else (env[0], env[1])
             else:
                 break
         while pending:  # t is a WHNF: hand it to the innermost waiting node
-            node, waiting = pending.pop()
+            node, waiting, outer = pending.pop()
             if type(waiting) is list:
-                waiting.append(t)
+                waiting.append(t if env is None else close(sig, t, env))
                 if len(waiting) < len(node.args):
-                    pending.append((node, waiting))
-                    t = node.args[len(waiting)]
+                    pending.append((node, waiting, outer))
+                    t, env = node.args[len(waiting)], outer
                     break
                 same = all(map(is_, waiting, node.args))
-                t = node if same else MetaApp(node.meta, tuple(waiting))
+                t, env = node if same else MetaApp(node.meta, tuple(waiting)), None
                 continue
-            contractum = waiting(node, t)
-            if contractum is not None:
-                t = contractum
+            if waiting(node, t):
+                source, env = (node, outer) if waiting.from_elim else (t, env)
+                t = source.children[waiting.child]
+                for i in waiting.binds:
+                    sig, env = waiting.sig, [node.children[i], outer, env]
                 break
-            p = waiting.principal
-            if t is not node.children[p]:
-                t = Op(node.tag, (*node.children[:p], t, *node.children[p + 1 :]), node.ann)
-            else:
-                t = node
+            p, kids, ann = waiting.principal, node.children, node.ann
+            head = t if env is None else close(sig, t, env)
+            if outer is not None:  # the other children in the node's own environment
+                inc = sig.binder_shifts.get(node.tag) or (0,) * len(kids)
+                kids = [c if i == p else close(sig, c, outer, inc[i]) for i, c in enumerate(kids)]
+                ann = close(sig, ann, outer)
+            same = outer is None and head is kids[p]
+            t, env = node if same else Op(node.tag, (*kids[:p], head, *kids[p + 1 :]), ann), None
         else:
-            return t
+            return t if env is None else close(sig, t, env)

@@ -115,6 +115,14 @@ class _Parser:
         self.lang = lang
         self.ops = lang.signature.operators
         self.env: list[str] = []  # innermost binder last
+        self.positions: dict[str, list[int]] = {}  # per name, its binders' places in env
+
+    def bind(self, name: str) -> None:
+        self.positions.setdefault(name, []).append(len(self.env))
+        self.env.append(name)
+
+    def unbind(self) -> None:
+        self.positions[self.env.pop()].pop()
 
     # -- token plumbing ----------------------------------------------------
 
@@ -207,9 +215,9 @@ class _Parser:
         else:
             name = self.expect("NAME").text
         self.expect(".")
-        self.env.append(name)
+        self.bind(name)
         body = yield self.term()
-        self.env.pop()
+        self.unbind()
         return self.make_lam(annotation, body, tok)
 
     def at_dependent_binder(self) -> bool:
@@ -233,9 +241,9 @@ class _Parser:
                 arrow.line,
                 arrow.column,
             )
-        self.env.append(name)
+        self.bind(name)
         body = yield self.term()
-        self.env.pop()
+        self.unbind()
         return self.make_type_former(arrow.kind, dom, body, tok, scoped=True)
 
     def star(self):
@@ -291,12 +299,8 @@ class _Parser:
             case "NAME" if tok.text == "forall":
                 raise ParseError("'forall' is only allowed in constraints", tok.line, tok.column)
             case "NAME":
-                if tok.text in self.env:
-                    depth = len(self.env) - 1 - max(
-                        i for i, n in enumerate(self.env) if n == tok.text
-                    )
-                    return Bound(depth)
-                return Free(tok.text)
+                places = self.positions.get(tok.text)
+                return Bound(len(self.env) - 1 - places[-1]) if places else Free(tok.text)
             case "META":
                 name = tok.text[1:]
                 args: list[Term] = []
@@ -333,7 +337,8 @@ class _Parser:
                 tok = self.peek()
                 raise ParseError("'forall' needs at least one name", tok.line, tok.column)
             self.expect(".")
-            self.env.extend(names)
+            for name in names:
+                self.bind(name)
         lhs = yield self.term()
         self.expect("UNIFY")
         rhs = yield self.term()

@@ -7,9 +7,10 @@ abstraction bodies and are only legal there.
 
 Operator nodes and metavariable applications cache their loose range
 (:func:`loose`), keyed by the signature's ``binder_shifts`` table, outside
-the dataclass fields: ``==``, hashing and ``repr`` never see it.  Weakening
-and strengthening compute it first and skip closed subterms; instantiation
-skips those already known (a redex body is mostly fresh and open).
+the dataclass fields: ``==``, hashing and ``repr`` never see it.  Weakening,
+strengthening and reading back from an environment (:func:`close`, of which
+instantiation is the one-closure case) compute it first and skip closed
+subterms.
 """
 
 from __future__ import annotations
@@ -294,16 +295,49 @@ def instantiate(sig: Signature, body: Term, arg: Term) -> Term:
     ``body`` lives at depth d+1; the result (and ``arg``) at depth d.  Free
     variables are untouched; remaining bound indices shift down by one.
     """
+    return close(sig, body, [arg, None, None])
 
-    def var(t: Term, d: int) -> Term:
-        if type(t) is Bound:
-            if t.index == d:
-                return weaken(sig, arg, d)
-            if t.index > d:
-                return Bound(t.index - 1)
-        return t
 
-    return rebuild(body, var, sig=sig, skip_closed=True)
+def close(sig: Signature, term: Term, env: list | None, depth: int = 0) -> Term:
+    """``term``, ``depth`` binders below ``env``'s context, read back.
+
+    An environment is ``None`` or a cell ``[term, env, rest]``: that term
+    under its own environment is the value of ``Bound(0)``, ``rest`` holds
+    the next ones.  A loose ``Bound(k)`` at depth ``d`` becomes closure
+    ``k - d``'s value weakened by ``d``, or ``Bound(k - n)`` past all ``n``.
+    A value is read back once, after the closures in its :func:`loose`
+    range, on an explicit stack, and kept as its cell's fourth item.
+    """
+    if env is None or loose(sig, term) <= depth:
+        return term
+
+    def var(t: Term, d: int) -> Term:  # reads the cells of the walk in progress
+        if type(t) is not Bound or t.index < d:
+            return t
+        if t.index - d >= len(cells):
+            return Bound(t.index - len(cells))
+        c = cells[t.index - d]
+        return weaken(sig, c[0] if c[1] is None else c[3], d)
+
+    top = [term, env, None]
+    todo = [top]
+    while todo:
+        cell = todo[-1]
+        t, e, at, cells = cell[0], cell[1], depth if cell is top else 0, []
+        n = loose(sig, t) - at if len(cell) == 3 else 0
+        while e is not None and len(cells) < n:
+            cells.append(e)
+            e = e[2]
+        waiting = [c for c in cells if c[1] is not None and len(c) == 3]
+        if waiting:
+            todo.extend(waiting)
+            continue
+        todo.pop()
+        if len(cell) == 3 and type(t) is Bound:
+            cell.append(var(t, at))
+        elif len(cell) == 3:
+            cell.append(rebuild(t, var, sig=sig, depth=at, skip_closed=True))
+    return top[3]
 
 
 def instantiate_many(sig: Signature, assign: Sequence[Term], body: Term) -> Term:

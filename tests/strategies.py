@@ -52,3 +52,50 @@ def terms(
                 else:
                     children.append(draw(child))
             return Op(tag, tuple(children))
+
+
+@st.composite
+def redex_terms(
+    draw, sig: Signature, depth: int = 0, size: int = 3, annotate: bool = False
+) -> Term:
+    """A term of ``sig``, well-scoped at ``depth``, whose nodes are often
+    redexes of the bundled rules (β, projections of pairs, J on ``Refl``)
+    and otherwise variables, metavariable applications or any operator,
+    such as a stuck eliminator.  With ``annotate``, operator nodes may
+    carry an annotation, any term at the node's depth."""
+
+    def sub(extra: int = 0, smaller: int = 1):
+        return redex_terms(sig, depth + extra, size - smaller, annotate)
+
+    def op(tag: str, *fixed: Term) -> Op:
+        children: list[Term | None] = list(fixed)
+        for kind in sig.operators[tag].slots[len(fixed) :]:
+            if kind is SlotKind.OPT_TERM:
+                children.append(draw(st.none() | sub()))
+            else:
+                children.append(draw(sub(1 if kind is SlotKind.SCOPE else 0)))
+        ann = draw(st.none() | sub(smaller=3)) if annotate else None
+        return Op(tag, tuple(children), ann)
+
+    if size <= 0:
+        return draw(terms(sig, depth, 0))
+    kinds = ["leaf", "leaf", "meta", "op", "beta", "beta"]
+    if "Pair" in sig.operators:
+        kinds += ["first", "second"]
+    if "J" in sig.operators:
+        kinds.append("j")
+    tags = sorted(t for t in sig.operators if t != INF_UNIVERSE_TAG)
+    match draw(st.sampled_from(kinds)):
+        case "leaf":
+            return draw(terms(sig, depth, 0))
+        case "meta":
+            args = draw(st.lists(sub(), max_size=2))
+            return MetaApp(draw(st.sampled_from(META_NAMES)), tuple(args))
+        case "op":
+            return op(draw(st.sampled_from(tags)))
+        case "beta":
+            return op("App", op("Lam"))
+        case "first" | "second" as proj:
+            return op(proj.capitalize(), op("Pair"))
+        case _:
+            return op("J", *(draw(sub(smaller=2)) for _ in range(5)), op("Refl"))

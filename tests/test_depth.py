@@ -80,6 +80,17 @@ def test_deep_ast_output():
     assert (result.returncode, result.stdout, result.stderr) == (0, expected + "\n", "")
 
 
+def test_closure_chain_reads_back_on_the_main_thread():
+    """Each closure's value is the one before it, 3,000 deep: the read-back
+    fills them on its own stack, not through nested calls."""
+    n = 3000
+    text = f"\\f. f x{n}"
+    for i in range(n, 1, -1):
+        text = f"(\\x{i}. {text}) x{i - 1}"
+    result = metaterm("reduce", f"(\\x1. {text}) a")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "\\x. x a\n", "")
+
+
 def test_long_application_spine_prints_back():
     text = "f " + " ".join(f"a{i}" for i in range(1, 3001))
     result = metaterm("reduce", text)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from metaterm import Constraint, Free, MetaApp, MetaSubstitution, Op, reduce, unify
 from metaterm.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -56,3 +57,15 @@ def test_examples_include_a_checker_residual():
         r"metaterm --lang stlc infer '\f. \x. f (f x)'",
         ["(?t2[] -> ?t3[]) -> ?t2[] -> ?t3[]", "forall x1 x2. ?t3[] =?= ?t2[]"],
     ) in EXAMPLES
+
+
+def test_custom_language_example_runs():
+    """The README's ``boxes`` language, run as shown, reduces and unifies."""
+    blocks = README.read_text(encoding="utf-8").split("```python")[1:]
+    scope: dict = {}
+    exec(next(b for b in blocks if "boxes" in b).split("```")[0], scope)
+    boxes = scope["boxes"]
+    assert reduce(Op("Unbox", (Op("Box", (Free("a"),)),)), boxes.reducer) == Free("a")
+    stuck = Constraint(Op("Unbox", (MetaApp("m"),)), Free("a"))
+    solution = unify(boxes, MetaSubstitution({}), [stuck])
+    assert solution.substs.get("m").body == Op("Box", (Free("a"),))

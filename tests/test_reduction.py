@@ -4,18 +4,22 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaterm.languages import LANGUAGES
 from metaterm.reduction import (
+    Rule,
     Undetermined,
+    beta,
     normal_form,
     reduce,
     sum_reduce,
 )
+from metaterm.signature import SlotKind, make_signature
 from metaterm.syntax import parse_term
-from metaterm.terms import Bound, Free, MetaApp, Op, well_scoped
+from metaterm.terms import Bound, Free, MetaApp, Op, instantiate, rebuild, well_scoped
 
-from strategies import terms
+from strategies import redex_terms, terms
 
 ulc = LANGUAGES["ulc"]
 stlc = LANGUAGES["stlc"]
@@ -41,6 +45,9 @@ class TestBeta:
 
     def test_iterated_redexes(self):
         assert reduce(ul(r"(\x. \y. y x) a b"), ulc.reducer) == ul("b a")
+
+    def test_whnf_reads_several_closures(self):
+        assert reduce(ul(r"(\x. \y. \z. z x y) a b"), ulc.reducer) == ul(r"\z. z a b")
 
     def test_divergence_raises(self):
         omega = ul(r"(\x. x x) (\x. x x)")
@@ -124,3 +131,106 @@ def test_whnf_preserves_well_scopedness(t):
 def test_normal_form_reduces_everywhere():
     t = parse_term(r"\y. (\x. x) a", ulc)
     assert normal_form(t, ulc.reducer) == parse_term(r"\y. a", ulc)
+
+
+def substitution_reduce(term, rules, fuel):
+    """The reference reducer: the loop ``reduce`` ran before it kept an
+    environment, where each contraction builds its contractum at once (a
+    β-step instantiates the body).  Returns the WHNF and the fuel spent."""
+    budget = fuel
+    pending = []
+    t = term
+    while True:
+        while True:
+            if type(t) is Op:
+                rule = rules.get(t.tag)
+                if rule is None:
+                    break
+                budget -= 1
+                if budget < 0:
+                    raise Undetermined(f"no WHNF within {fuel} head steps")
+                pending.append((t, rule))
+                t = t.children[rule.principal]
+            elif type(t) is MetaApp and t.args:
+                pending.append((t, []))
+                t = t.args[0]
+            else:
+                break
+        while pending:
+            node, waiting = pending.pop()
+            if type(waiting) is list:
+                waiting.append(t)
+                if len(waiting) < len(node.args):
+                    pending.append((node, waiting))
+                    t = node.args[len(waiting)]
+                    break
+                t = MetaApp(node.meta, tuple(waiting))
+                continue
+            if waiting(node, t):
+                assert len(waiting.binds) <= 1  # the bundled rules bind at most one
+                t = (node if waiting.from_elim else t).children[waiting.child]
+                for i in waiting.binds:
+                    t = instantiate(waiting.sig, t, node.children[i])
+                break
+            p = waiting.principal
+            t = Op(node.tag, (*node.children[:p], t, *node.children[p + 1 :]), node.ann)
+        else:
+            return t, fuel - budget
+
+
+@pytest.mark.parametrize("lang", [ulc, stlc, mltt], ids=lambda l: l.name)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_environment_machine_matches_the_substitution_loop(lang, data):
+    """Same WHNF, same fuel: enough at the reference's step count, one
+    short of it undetermined.  Open, annotated and metavariable terms."""
+    depth = data.draw(st.integers(0, 2))
+    t = data.draw(redex_terms(lang.signature, depth, 5, annotate=data.draw(st.booleans())))
+    try:
+        expected, steps = substitution_reduce(t, lang.reducer, 300)
+    except Undetermined:
+        with pytest.raises(Undetermined):
+            reduce(t, lang.reducer, 300)
+        return
+    assert substitution_reduce(t, lang.reducer, steps)[0] == expected
+    assert reduce(t, lang.reducer, steps) == expected
+    if steps:
+        with pytest.raises(Undetermined):
+            reduce(t, lang.reducer, steps - 1)
+    try:
+        reference = rebuild(t, enter=lambda s: substitution_reduce(s, lang.reducer, 300)[0])
+    except Undetermined:
+        return
+    assert normal_form(t, lang.reducer, 300) == reference
+
+
+def test_closure_value_is_read_back_once_and_shared():
+    out = reduce(ul(r"(\z. (\x. \y. y x x) (f z)) b"), ulc.reducer)
+    assert out == ul(r"\y. y (f b) (f b)")
+    spine = out.children[0]
+    assert spine.children[1] is spine.children[0].children[1]
+
+
+def test_stuck_node_reads_its_children_in_its_own_environment():
+    # at depth 1: (\x. x v) f, where v is the variable just outside; the
+    # head f comes from a closure, v from the node's own environment
+    t = Op("App", (Op("Lam", (Op("App", (Bound(0), Bound(1))),)), Free("f")))
+    assert reduce(t, ulc.reducer) == Op("App", (Free("f"), Bound(0)))
+
+
+def test_stuck_node_reads_a_scope_child_under_its_binder():
+    # Bind(m, x. k) is stuck unless m is a Ret; its scope child k is read
+    # back with x kept and y's closure filled one binder down
+    sig = make_signature(
+        "binds",
+        [
+            ("Lam", [SlotKind.SCOPE]),
+            ("App", [SlotKind.TERM, SlotKind.TERM]),
+            ("Ret", [SlotKind.TERM]),
+            ("Bind", [SlotKind.TERM, SlotKind.SCOPE]),
+        ],
+    )
+    rules = {"App": beta(sig), "Bind": Rule(0, "Ret", 0)}
+    body = Op("Bind", (Free("m"), Op("App", (Bound(0), Bound(1)))))
+    t = Op("App", (Op("Lam", (body,)), Free("a")))
+    assert reduce(t, rules) == Op("Bind", (Free("m"), Op("App", (Bound(0), Free("a")))))

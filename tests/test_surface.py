@@ -114,6 +114,23 @@ class TestDeBruijnResolution:
             "Lam", (Op("Lam", (Bound(0),)),)
         )
 
+    def test_shadowed_name_resolves_past_the_inner_binder(self):
+        # \x. \y. \x. x y: x is the innermost binder, y the one above it
+        body = Op("App", (Bound(0), Bound(1)))
+        assert parse_term(r"\x. \y. \x. x y", ulc) == Op(
+            "Lam", (Op("Lam", (Op("Lam", (body,)),)),)
+        )
+
+    def test_name_is_free_again_once_its_scope_closes(self):
+        lam_x = Op("Lam", (Bound(0),))
+        assert parse_term(r"(\x. x) x", ulc) == Op("App", (lam_x, Free("x")))
+        inner = Op("App", (Op("Lam", (Bound(0),)), Bound(0)))
+        assert parse_term(r"\x. (\x. x) x", ulc) == Op("Lam", (inner,))
+        pi = parse_term("((x : U) -> x) -> x", mltt)
+        assert pi.children[1] == Free("x")
+        c = parse_constraint(r"forall x. (\x. x) =?= x", ulc)
+        assert (c.lhs, c.rhs) == (lam_x, Bound(0))
+
     def test_unbound_names_are_free(self):
         assert parse_term("a", ulc) == Free("a")
 

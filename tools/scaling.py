@@ -2,7 +2,7 @@
 
     python tools/scaling.py [--tree DIR] [--repeats N]
 
-Runs four families in process:
+Runs five families in process:
 
 - ``TypeChecker.infer`` on the STLC apply-chain
   ``\\f. \\a1. … \\an. f a1 … an`` at n = ``CHAIN_SIZES``;
@@ -11,18 +11,23 @@ Runs four families in process:
 - the ``reduce`` command (``metaterm.cli.main``) on ULC Church addition
   applied to ``(\\y. y) a``, at the values ``CHURCH_VALUES``;
 - the ``reduce`` command on the MLTT arrow chain ``a -> a -> … -> a``,
-  which it parses and prints back, at ``ARROWS`` arrows.
+  which it parses and prints back, at ``ARROWS`` arrows;
+- the ``reduce`` command on the MLTT telescope
+  ``(x0 : U) -> (x1 : x0) -> … -> x(n-1)``, whose names are resolved
+  ``n`` binders deep, at ``TELESCOPE`` binders.
 
 For each size it prints the median CPU time of ``--repeats`` plain runs,
 then, from one more run with counters attached: ``walk_pops``, the items
 popped off the stacks of the term walks (``terms.subterms``,
 ``terms.rebuild`` and ``terms.loose`` where the tree has it: one per node
-visited, plus one per node rebuilt or whose range is computed), and for
-the inference families ``apply_substs`` calls, operator nodes and
-metavariable applications built (every ``Op`` and ``MetaApp``
+visited, plus one per node rebuilt or whose range is computed); for the
+``reduce`` families ``head_steps``, the calls of the language's rule
+table; and for the inference families ``apply_substs`` calls, operator
+nodes and metavariable applications built (every ``Op`` and ``MetaApp``
 constructed), and the nodes of the result, distinct by identity and as a
-tree.  The last line is one JSON object with the same rows, and the
-log-log slope of time over size from the smallest to the largest size.
+tree.  The last line is one JSON object with the same rows and, per
+family, the least-squares log-log slopes of time and of ``walk_pops``
+over all its sizes.
 
 ``--tree`` imports metaterm from ``DIR/src`` (default: this checkout), so
 two source trees can be compared.  Not part of the test suite.
@@ -31,6 +36,7 @@ two source trees can be compared.  Not part of the test suite.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import io
 import json
@@ -47,6 +53,7 @@ CHAIN_SIZES = (10, 20, 40, 80, 160)
 TOWER_LEVELS = (150, 300, 600)
 CHURCH_VALUES = (64, 128, 256, 512, 1024)
 ARROWS = (250, 500, 1000, 2000)
+TELESCOPE = (500, 1000, 2000, 4000)
 
 
 def apply_chain(n: int) -> str:
@@ -69,6 +76,22 @@ def church_addition(value: int) -> str:
 
 def arrow_chain(arrows: int) -> str:
     return " -> ".join(["a"] * (arrows + 1))
+
+
+def telescope(binders: int) -> str:
+    types = ["U", *(f"x{i}" for i in range(binders - 1))]
+    return "".join(f"(x{i} : {ty}) -> " for i, ty in enumerate(types)) + f"x{binders - 1}"
+
+
+def slope(rows: list[dict], key: str) -> float | None:
+    """Least-squares slope of log(``key``) against log(size), as
+    ``bench/worker.py`` fits ``latency_slope``; None if a value is 0."""
+    if any(row[key] <= 0 for row in rows):
+        return None
+    xs = [math.log(row["size"]) for row in rows]
+    ys = [math.log(row[key]) for row in rows]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
 def result_nodes(term) -> tuple[int, int]:
@@ -130,6 +153,32 @@ class Counters:
     def __exit__(self, *exc):
         for owner, key, value in reversed(self.undo):
             setattr(owner, key, value)
+
+
+class HeadSteps:
+    """Counts the calls of one language's reduction rules while active,
+    one per eliminator met on a head spine, as the bench tracer does."""
+
+    def __init__(self, lang: str):
+        from metaterm import LANGUAGES
+
+        self.table = LANGUAGES[lang].reducer
+        self.steps = 0
+
+    def __enter__(self):
+        self.saved = dict(self.table)
+        for tag, rule in self.saved.items():
+
+            @functools.wraps(rule)
+            def counted(node, head, _rule=rule):
+                self.steps += 1
+                return _rule(node, head)
+
+            self.table[tag] = counted
+        return self
+
+    def __exit__(self, *exc):
+        self.table.update(self.saved)
 
 
 class WalkCounter:
@@ -205,9 +254,10 @@ def reduce_row(lang: str, source: str, repeats: int) -> dict:
             times.append(process_time() - start)
         if code != 0:
             raise SystemExit(f"reduce exited {code} on a {lang} item of {len(source)} characters")
-    with redirect_stdout(io.StringIO()), WalkCounter() as walks:
+    with redirect_stdout(io.StringIO()), HeadSteps(lang) as steps, WalkCounter() as walks:
         main(argv)
-    return {"ms": round(1000 * statistics.median(times[1:]), 2), "walk_pops": walks.pops}
+    ms = round(1000 * statistics.median(times[1:]), 2)
+    return {"ms": ms, "walk_pops": walks.pops, "head_steps": steps.steps}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -225,15 +275,17 @@ def main(argv: list[str] | None = None) -> int:
         ("f_tower", lambda n: infer_row(f_tower(n), args.repeats), TOWER_LEVELS),
         ("church_add", lambda n: reduce_row("ulc", church_addition(n), args.repeats), CHURCH_VALUES),
         ("mltt_arrows", lambda n: reduce_row("mltt", arrow_chain(n), args.repeats), ARROWS),
+        ("telescope", lambda n: reduce_row("mltt", telescope(n), args.repeats), TELESCOPE),
     ):
         rows = []
         for size in sizes:
             row = {"size": size, **row_of(size)}
             rows.append(row)
             print(family, " ".join(f"{key}={value}" for key, value in row.items()), flush=True)
-        first, last = rows[0], rows[-1]
-        slope = math.log(last["ms"] / first["ms"]) / math.log(last["size"] / first["size"])
-        report[family] = {"rows": rows, "slope_ms": round(slope, 3)}
+        slopes = {f"slope_{key}": slope(rows, key) for key in ("ms", "walk_pops")}
+        slopes = {key: value if value is None else round(value, 3) for key, value in slopes.items()}
+        print(family, " ".join(f"{key}={value}" for key, value in slopes.items()), flush=True)
+        report[family] = {"rows": rows, **slopes}
     print(json.dumps(report))
     return 0
 
