@@ -2,7 +2,8 @@
 
 Every ``$ metaterm …`` and ``$ echo '…' | metaterm …`` line of a
 ``console`` block runs through ``cli.main``; what it prints, standard
-output then standard error, must equal the lines shown under it.
+output then standard error, must equal the lines shown under it.  The
+``python`` block that defines the custom ``boxes`` language runs as well.
 """
 
 from __future__ import annotations
