@@ -20,7 +20,6 @@ from .syntax import (
     ParseError,
     parse_constraint,
     parse_term,
-    print_ast,
     print_constraint,
     print_entry,
     print_term,
@@ -92,7 +91,7 @@ def _config(args: argparse.Namespace) -> SearchConfig:
 
 def _show(lang, term: Term, args: argparse.Namespace) -> str:
     if args.output == "ast":
-        return print_ast(term)
+        return repr(term)
     return print_term(lang, term)
 
 

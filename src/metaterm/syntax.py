@@ -37,7 +37,6 @@ from .terms import (
     Op,
     Term,
     free_names,
-    mentions_bound,
     run,
     strengthen,
     weaken,
@@ -451,18 +450,20 @@ def print_term(
                 else:
                     text = f"\\{x}. {body}"
                 own = _LAM
-            case Op("Pi" | "Sigma" as tag, (dom, cod), _) if mentions_bound(sig, cod, 0):
-                dom_text = yield show(dom, _LAM)
-                x = bind()
-                cod_text = yield show(cod, _LAM)
-                unbind()
-                text, own = f"({x} : {dom_text}){_INFIX[tag][0]}{cod_text}", _LAM
             case Op(tag, (left, right), _) if tag in _INFIX:
                 separator, own, left_level, right_level = _INFIX[tag]
+                dependent = False
                 if tag in ("Pi", "Sigma"):
-                    right = strengthen(sig, right)
+                    try:
+                        right = strengthen(sig, right)
+                    except ValueError:  # the codomain mentions its binder
+                        dependent, own, left_level, right_level = True, _LAM, _LAM, _LAM
                 left_text = yield show(left, left_level)
+                x = bind() if dependent else None
                 right_text = yield show(right, right_level)
+                if dependent:
+                    unbind()
+                    left_text = f"({x} : {left_text})"
                 text = f"{left_text}{separator}{right_text}"
             case Op("First" | "Second" | "Refl" as tag, (arg,), _):
                 arg_text = yield show(arg, _PREFIX)
@@ -474,34 +475,6 @@ def print_term(
         return f"({text})" if own < level else text
 
     return run(show(term, _LAM))
-
-
-def print_ast(term: Term) -> str:
-    """``repr(term)``, built by a step of :func:`run`: the dataclass
-    ``repr`` nests one Python call per level of the term."""
-    out: list[str] = []
-
-    def show(t: Term | None):
-        if type(t) is MetaApp:
-            out.append(f"MetaApp(meta={t.meta!r}, args=(")
-            items = t.args
-        elif type(t) is Op:
-            out.append(f"Op(tag={t.tag!r}, children=(")
-            items = t.children
-        else:  # a variable, a hole or an absent child: no nesting
-            out.append(repr(t))
-            return
-        for i, item in enumerate(items):
-            out.append(", " if i else "")
-            yield show(item)
-        out.append(",)" if len(items) == 1 else ")")
-        if type(t) is Op:
-            out.append(", ann=")
-            yield show(t.ann)
-        out.append(")")
-
-    run(show(term))
-    return "".join(out)
 
 
 def print_constraint(lang, c: Constraint) -> str:

@@ -10,7 +10,8 @@ Operator nodes and metavariable applications cache their loose range
 the dataclass fields: ``==``, hashing and ``repr`` never see it.  Weakening,
 strengthening and reading back from an environment (:func:`close`, of which
 instantiation is the one-closure case) compute it first and skip closed
-subterms.
+subterms.  Their ``repr`` is the dataclass text, written on an explicit
+stack as ``==`` is.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ class MetaApp:
     def __eq__(self, other: object) -> bool:
         return _equal(self, other) if type(other) is MetaApp else NotImplemented
 
+    def __repr__(self) -> str:
+        return _repr(self)
+
 
 @dataclass(frozen=True)
 class Op:
@@ -72,6 +76,9 @@ class Op:
 
     def __eq__(self, other: object) -> bool:
         return _equal(self, other) if type(other) is Op else NotImplemented
+
+    def __repr__(self) -> str:
+        return _repr(self)
 
 
 Term = Union[Bound, Free, Hole, MetaApp, Op]
@@ -128,6 +135,35 @@ def _equal(a: Term, b: Term) -> bool:
     return True
 
 
+def _repr(term: Term) -> str:
+    """The dataclass ``repr`` of ``term``, on an explicit stack of pending
+    text and of the nodes whose text comes next."""
+
+    def part(t: object) -> object:  # a node is spelled out when popped
+        return t if type(t) is Op or type(t) is MetaApp else repr(t)
+
+    out, todo = [], [term]
+    while todo:
+        t = todo.pop()
+        if type(t) is str:
+            out.append(t)
+            continue
+        if type(t) is Op:
+            out.append(f"Op(tag={t.tag!r}, children=(")
+            items = t.children
+            todo += (")", part(t.ann), ", ann=")
+        else:
+            out.append(f"MetaApp(meta={t.meta!r}, args=(")
+            items = t.args
+            todo.append(")")
+        todo.append(",)" if len(items) == 1 else ")")
+        for i in range(len(items) - 1, -1, -1):
+            todo.append(part(items[i]))
+            if i:
+                todo.append(", ")
+    return "".join(out)
+
+
 # Every operation below is one of two walks, each driven by an explicit
 # stack, so term depth never meets Python's recursion limit.  Both track
 # binder depth the same way: a child sits at its node's depth plus one per
@@ -137,7 +173,7 @@ def _equal(a: Term, b: Term) -> bool:
 
 
 def subterms(
-    term: Term, sig: Signature | None = None, depth: int = 0, skip_closed: bool = False
+    term: Term, sig: Signature | None = None, depth: int = 0
 ) -> Iterator[tuple[Term, int, Term | None, int]]:
     """Every subterm as ``(node, depth, parent, slot)``, in pre-order.
 
@@ -145,15 +181,12 @@ def subterms(
     ``len(children)``); the root has parent ``None``.  Absent optional
     children are skipped.  A node's children are looked at only when the
     next item is requested, so a consumer may stop at a malformed node.
-    ``skip_closed`` skips the subterms whose :func:`loose` range is <= depth.
     """
     shifts = None if sig is None else sig.binder_shifts
     todo = [(term, depth, None, 0)]
     pop, push = todo.pop, todo.append
     while todo:
         item = pop()
-        if skip_closed and loose(sig, item[0]) <= item[1]:
-            continue
         yield item
         t, d = item[0], item[1]
         if type(t) is Op:
@@ -385,15 +418,9 @@ def trans(phi: Callable[[Op], Op], term: Term) -> Term:
     return rebuild(term, post=phi)
 
 
-def well_scoped(
-    sig: Signature,
-    term: Term,
-    depth: int = 0,
-    *,
-    allow_holes: bool = False,
-    max_hole: int | None = None,
-) -> bool:
-    """Check de Bruijn bounds, operator arity/slot conformance, hole usage."""
+def well_scoped(sig: Signature, term: Term, depth: int = 0) -> bool:
+    """Check de Bruijn bounds and operator arity/slot conformance; a hole
+    is never well scoped (:class:`~metaterm.metavar.MetaAbs` checks its own)."""
 
     def ok(t: Term, d: int) -> bool:
         match t:
@@ -401,8 +428,6 @@ def well_scoped(
                 return 0 <= k < d
             case Free() | MetaApp():
                 return True
-            case Hole(i):
-                return allow_holes and i >= 0 and (max_hole is None or i < max_hole)
             case Op(tag, children):
                 op = sig.operators.get(tag)
                 return (
@@ -423,18 +448,11 @@ def free_names(term: Term) -> set[str]:
     return {t.name for t, _, _, _ in subterms(term) if type(t) is Free}
 
 
-def mentions_bound(sig: Signature, term: Term, index: int) -> bool:
-    """Does ``Bound(index)`` (adjusted under inner binders) occur in the term?"""
-    return any(
-        type(t) is Bound and t.index == d
-        for t, d, _, _ in subterms(term, sig, index, skip_closed=True)
-    )
-
-
 def strengthen(sig: Signature, term: Term, at: int = 0) -> Term:
     """Shift every ``Bound(k)`` with ``k > at`` down by one.
 
-    The caller must have checked that ``Bound(at)`` does not occur.
+    Raises ``ValueError`` if ``Bound(at)`` occurs (adjusted under inner
+    binders): the term depends on that variable.
     """
     if loose(sig, term) <= at:
         return term

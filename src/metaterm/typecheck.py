@@ -220,23 +220,20 @@ class TypeChecker:
         """The type of a term produced by :meth:`infer` or :meth:`annotate`,
         at current depth, as stored (unsolved: read heads through
         :meth:`whnf`); an :meth:`infer`/:meth:`check` root's type is solved."""
-        sig = self.lang.typed_signature
         match typed:
             case Bound(k):
                 level = self.depth - 1 - k
                 ty = self.ctx.bound_var_types[level]
-                result = weaken(sig, ty, self.depth - level)
-            case Free(name):
-                result = weaken(sig, self.ctx.free_var_types[name], self.depth)
+                return weaken(self.lang.typed_signature, ty, self.depth - level)
+            case Free(name):  # stored closed: the same at every depth
+                return self.ctx.free_var_types[name]
             case MetaApp(name, _):
-                result = weaken(sig, self.ctx.meta_var_types[name], self.depth)
+                return self.ctx.meta_var_types[name]
             case Op(_, _, ann):
                 if ann is None and typed.tag != INF_UNIVERSE_TAG:
                     raise TypeCheckError(f"unannotated node {typed.tag!r}")
-                result = ann if ann is not None else INFINITE_UNIVERSE
-            case _:
-                raise TypeCheckError(f"no type for {typed!r}")
-        return result
+                return ann if ann is not None else INFINITE_UNIVERSE
+        raise TypeCheckError(f"no type for {typed!r}")
 
     def non_dep(self, scoped_type: Term) -> Term:
         """Strengthen a scoped type to current depth.  Solved, the type must

@@ -76,7 +76,7 @@ class Constraint:
     binders: int = 0
     binder_names: tuple[str, ...] = ()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:  # the text of str(Clash) and str(UnificationFailure)
         q = f"forall^{self.binders}. " if self.binders else ""
         return f"<{q}{self.lhs} =?= {self.rhs}>"
 

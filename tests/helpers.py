@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from types import SimpleNamespace
 
 from metaterm.metavar import FreshSupply, MetaSubstitution, metas_of
@@ -20,6 +21,19 @@ def bare_language(signature, reducer=None, shapes=()):
     return SimpleNamespace(
         signature=signature, reducer=reducer or {}, shapes=shapes, name=signature.name
     )
+
+
+def dataclass_repr(value) -> str:
+    """``repr`` as the generated dataclass one spells it, recursively: the
+    reference for the explicit-stack ``repr`` of terms."""
+    if dataclasses.is_dataclass(value):
+        fields = (f for f in dataclasses.fields(value) if f.repr)
+        shown = ", ".join(f"{f.name}={dataclass_repr(getattr(value, f.name))}" for f in fields)
+        return f"{type(value).__qualname__}({shown})"
+    if type(value) is tuple:
+        shown = ", ".join(map(dataclass_repr, value))
+        return f"({shown},)" if len(value) == 1 else f"({shown})"
+    return repr(value)
 
 
 def simplify(lang, constraint: Constraint):

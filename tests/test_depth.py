@@ -23,6 +23,7 @@ import pytest
 from metaterm import (
     LANGUAGES,
     Free,
+    MetaApp,
     MetaSubstitution,
     Op,
     TypeChecker,
@@ -32,6 +33,7 @@ from metaterm import (
     reduce,
     unify,
 )
+from metaterm.unification import Clash
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SCALING = SRC.parent / "tools" / "scaling.py"
@@ -164,6 +166,23 @@ def test_equality_of_deep_terms():
 
     assert tower("x") == tower("x")
     assert tower("x") != tower("y")
+
+
+def test_repr_of_deep_terms():
+    """``repr`` and the exception texts built on it need no deep stack."""
+    term, n = Free("x"), 2500
+    for _ in range(n):
+        term = MetaApp("m", (Op("App", (Free("f"), term)),))
+    level = "MetaApp(meta='m', args=(Op(tag='App', children=(Free(name='f'), "
+    assert repr(term) == level * n + "Free(name='x')" + "), ann=None),))" * n
+
+    ulc = LANGUAGES["ulc"]
+    side = "f (" * 1999 + "f a" + ")" * 1999
+    with pytest.raises(Clash) as clash:
+        unify(ulc, MetaSubstitution(), [parse_constraint(f"{side} =?= g", ulc)])
+    node = "Op(tag='App', children=(Free(name='f'), "
+    lhs = node * 2000 + "Free(name='a')" + "), ann=None)" * 2000
+    assert str(clash.value) == f"rigid heads clash in <{lhs} =?= Free(name='g')>"
 
 
 def test_no_recursion_limit_path_and_one_trampoline():

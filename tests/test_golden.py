@@ -67,6 +67,13 @@ GOLDEN = [
     (['--lang', 'mltt', 'infer', '(x : A) * refl x'], None, 1, '', "type error: inferred type 'x0 = x0' depends on its bound variable x0\n"),
     (['--lang', 'mltt', 'infer', '<a, b> * B'], None, 1, '', 'type error: cannot unify types in ?t1[] * ?t2[] =?= U\n'),
     (['--lang', 'stlc', 'check', '<a, b>', ':', 'A * B'], None, 0, 'A * B\n', ''),
+    # Failure paths: the search exhausts its candidates, the guess budget runs
+    # out while simplifying, and three syntax errors.
+    (['unify', '-'], 'forall x. ?m[] =?= x\n', 1, '', 'no solution: no candidate solves ?m\n'),
+    (['--lang', 'stlc', '--guess-fuel', '1', 'unify', '-'], 'first (first ?m[]) =?= a\n', 2, '', 'undetermined: guess budget exhausted during simplification\n'),
+    (['--lang', 'stlc', 'reduce', '(x : a) -> x'], None, 64, '', "syntax error: dependent function type is not part of language 'stlc' (line 1, column 1)\n"),
+    (['--lang', 'mltt', 'reduce', '(x : a) . x'], None, 64, '', "syntax error: expected '->' or '*' after binder, found '.' (line 1, column 9)\n"),
+    (['unify', '-'], 'forall . ?m[] =?= a\n', 64, '', "syntax error: 'forall' needs at least one name (line 1, column 8)\n"),
 ]
 
 

@@ -10,13 +10,14 @@ from metaterm.syntax import (
     UnknownConstruct,
     parse_constraint,
     parse_term,
-    print_ast,
     print_constraint,
     print_term,
 )
 from metaterm.terms import Bound, Free, MetaApp, Op
 from metaterm.typecheck import TypeChecker, TypeCheckError
 from metaterm.unification import Undetermined
+
+from helpers import dataclass_repr
 
 ulc = LANGUAGES["ulc"]
 stlc = LANGUAGES["stlc"]
@@ -94,13 +95,13 @@ def test_print_is_stable(lang_name, src):
 def test_ast_output_is_the_dataclass_repr(lang_name, src):
     lang = LANGUAGES[lang_name]
     term = parse_term(src, lang)
-    assert print_ast(term) == repr(term)
+    assert repr(term) == dataclass_repr(term)
     if lang.infer_rules:
         try:
             typed = TypeChecker(lang).infer(term)
         except (TypeCheckError, Undetermined):
             return
-        assert print_ast(typed) == repr(typed)
+        assert repr(typed) == dataclass_repr(typed)
 
 
 class TestDeBruijnResolution:

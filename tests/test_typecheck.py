@@ -13,7 +13,7 @@ from metaterm.languages import LANGUAGES
 from metaterm.metavar import apply_substs, metas_of
 from metaterm.reduction import normal_form
 from metaterm.syntax import UnknownConstruct, parse_term, print_term
-from metaterm.terms import Bound, Free, MetaApp, Op, well_scoped
+from metaterm.terms import Bound, Free, Hole, MetaApp, Op, well_scoped
 from metaterm.typecheck import (
     INFINITE_UNIVERSE,
     DependencyEscape,
@@ -331,6 +331,21 @@ class TestInvariants:
             TypeChecker(ulc)
 
 
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        (Bound(0), "unbound index 0 at depth 0"),
+        (Op("Lam", (None, Hole(0))), "holes cannot appear in checked terms"),
+        (Op("NoSuchTag", ()), "unknown operator 'NoSuchTag'"),
+        (Op("App", (Free("f"),)), "App has 1 children, expected 2"),
+    ],
+    ids=["unbound-index", "hole", "unknown-tag", "child-count"],
+)
+def test_malformed_terms_are_type_errors(term, message):
+    with pytest.raises(TypeCheckError, match=re.escape(message)):
+        TypeChecker(stlc).infer(term)
+
+
 class TestUndetermined:
     """Every exhausted budget raises the one ``Undetermined``, whichever
     layer spends it."""
@@ -450,6 +465,10 @@ class TestSubstitutionReads:
         typed = tc.annotate(parse_term(r"\f. \x. f x", stlc))
         assert tc.type_of(typed) is typed.ann
         assert metas_of(typed.ann) & set(tc.ctx.substs.entries)
+        tc.annotate(parse_term("f ?m[]", stlc))
+        with tc.in_scope(Free("A")):  # stored closed, read at any depth
+            assert tc.type_of(Free("f")) is tc.ctx.free_var_types["f"]
+            assert tc.type_of(MetaApp("m", ())) is tc.ctx.meta_var_types["m"]
 
 
 def f_tower(levels: int) -> str:

@@ -7,11 +7,12 @@ at each of ``SEEDS``, plus two batches of ``RANDOM_COMMANDS`` seeded random
 ``unify``/``infer``/``check``/``reduce`` commands in ``ulc``, ``stlc`` and
 ``mltt``: one under small budgets (``--fuel 60 --guess-fuel 12``), one under
 budgets that run out in every layer (``--reduce-fuel 1 --fuel 8
---guess-fuel 2``).  Each tree runs every command in one child process,
-in-process through ``metaterm.cli.main`` with standard input, output and
-error captured; a command that runs past ``TIMEOUT_S`` seconds is recorded
-as a time-out.  Lists every command whose exit code, stdout or stderr
-differs between the trees, then every other command that ends in a
+--guess-fuel 2``), then ``AST_COMMANDS`` seeded random ``reduce``/``infer``
+commands with ``--output ast``.  Each tree runs every command in one child
+process, in-process through ``metaterm.cli.main`` with standard input,
+output and error captured; a command that runs past ``TIMEOUT_S`` seconds
+is recorded as a time-out.  Lists every command whose exit code, stdout or
+stderr differs between the trees, then every other command that ends in a
 traceback in the head tree, then one line per exit-code transition
 counting the differing commands (e.g. ``1 -> 0: 32``; ``0 -> 0`` counts
 changed output under an unchanged exit code).  Exits 1 if any command
@@ -44,6 +45,8 @@ RANDOM_COMMANDS = 1500
 RANDOM_SEED = 0
 TINY_BUDGETS = ("--reduce-fuel", "1", "--fuel", "8", "--guess-fuel", "2")
 TINY_SEED = 11
+AST_COMMANDS = 500
+AST_SEED = 23
 #: Seconds a command may run before it is recorded as a time-out.
 TIMEOUT_S = 10.0
 #: Address-space cap of a replaying child, so a runaway command fails alone.
@@ -159,6 +162,17 @@ def random_commands(
     return out
 
 
+def ast_commands(count: int, seed: int) -> list[tuple[str, list[str], str | None]]:
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        lang = rng.choice(("ulc", "stlc", "mltt"))
+        command = "reduce" if lang == "ulc" else rng.choice(("reduce", "infer"))
+        expr = _term(rng, lang, [], rng.randrange(1, 5))
+        out.append((f"ast:{i}", ["--lang", lang, *BUDGETS, "--output", "ast", command, expr], None))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Replaying in a child process
 
@@ -232,6 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         corpus_commands(SEEDS)
         + random_commands(RANDOM_COMMANDS, RANDOM_SEED, BUDGETS, "random")
         + random_commands(RANDOM_COMMANDS, TINY_SEED, TINY_BUDGETS, "tiny")
+        + ast_commands(AST_COMMANDS, AST_SEED)
     )
     base = run_tree(args.base.resolve(), commands)
     head = run_tree(args.head.resolve(), commands)
