@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from metaterm.signature import INF_UNIVERSE_TAG, Signature, SlotKind
+from metaterm.signature import INF_UNIVERSE_TAG, Signature, SlotKind, make_signature
 from metaterm.terms import Bound, Free, MetaApp, Op, Term
 
 FREE_NAMES = ("a", "b", "c")
@@ -52,6 +52,14 @@ def terms(
                 else:
                     children.append(draw(child))
             return Op(tag, tuple(children))
+
+
+@st.composite
+def signatures(draw) -> Signature:
+    """One to four operators ``T0``, ``T1``, …, tags that no bundled
+    notation knows, each with up to three slots of any kind."""
+    slots = draw(st.lists(st.lists(st.sampled_from(list(SlotKind)), max_size=3), min_size=1, max_size=4))
+    return make_signature("random", [(f"T{i}", kinds) for i, kinds in enumerate(slots)])
 
 
 @st.composite

@@ -74,6 +74,16 @@ GOLDEN = [
     (['--lang', 'stlc', 'reduce', '(x : a) -> x'], None, 64, '', "syntax error: dependent function type is not part of language 'stlc' (line 1, column 1)\n"),
     (['--lang', 'mltt', 'reduce', '(x : a) . x'], None, 64, '', "syntax error: expected '->' or '*' after binder, found '.' (line 1, column 9)\n"),
     (['unify', '-'], 'forall . ?m[] =?= a\n', 64, '', "syntax error: 'forall' needs at least one name (line 1, column 8)\n"),
+    # A construct the language lacks is named, at its own token.
+    (['reduce', 'A -> B'], None, 64, '', "syntax error: function type is not part of language 'ulc' (line 1, column 3)\n"),
+    (['reduce', '(x : A) -> B'], None, 64, '', "syntax error: function type is not part of language 'ulc' (line 1, column 1)\n"),
+    (['reduce', '\\(x : A). x'], None, 64, '', "syntax error: annotated lambda is not part of language 'ulc' (line 1, column 1)\n"),
+    (['reduce', 'U'], None, 64, '', "syntax error: universe is not part of language 'ulc' (line 1, column 1)\n"),
+    (['reduce', '<a, b>'], None, 64, '', "syntax error: pair is not part of language 'ulc' (line 1, column 1)\n"),
+    (['reduce', 'first p'], None, 64, '', "syntax error: first is not part of language 'ulc' (line 1, column 1)\n"),
+    (['--lang', 'stlc', 'reduce', 'a = b'], None, 64, '', "syntax error: identity type is not part of language 'stlc' (line 1, column 3)\n"),
+    (['--lang', 'stlc', 'reduce', 'J(a, b, c, d, e, f)'], None, 64, '', "syntax error: identity eliminator is not part of language 'stlc' (line 1, column 1)\n"),
+    (['--lang', 'mltt', 'reduce', 'J(a, b)'], None, 64, '', 'syntax error: J takes 6 arguments, got 2 (line 1, column 1)\n'),
 ]
 
 

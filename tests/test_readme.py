@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from metaterm import Constraint, Free, MetaApp, MetaSubstitution, Op, reduce, unify
+from metaterm import Constraint, Free, MetaApp, MetaSubstitution, Op, parse_term, reduce, unify
 from metaterm.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -61,11 +61,14 @@ def test_examples_include_a_checker_residual():
 
 
 def test_custom_language_example_runs():
-    """The README's ``boxes`` language, run as shown, reduces and unifies."""
+    """The README's ``boxes`` language, run as shown, prints, parses,
+    reduces and unifies."""
     blocks = README.read_text(encoding="utf-8").split("```python")[1:]
     scope: dict = {}
     exec(next(b for b in blocks if "boxes" in b).split("```")[0], scope)
     boxes = scope["boxes"]
+    assert scope["shown"] == "Unbox(Box(a))"
+    assert parse_term("Unbox(Box(a))", boxes) == scope["term"]
     assert reduce(Op("Unbox", (Op("Box", (Free("a"),)),)), boxes.reducer) == Free("a")
     stuck = Constraint(Op("Unbox", (MetaApp("m"),)), Free("a"))
     solution = unify(boxes, MetaSubstitution({}), [stuck])

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metaterm.languages import LANGUAGES
+from metaterm.languages import LANGUAGES, Language
+from metaterm.signature import SlotKind, annotate_signature, make_signature
 from metaterm.syntax import (
     ParseError,
     UnknownConstruct,
@@ -13,11 +16,12 @@ from metaterm.syntax import (
     print_constraint,
     print_term,
 )
-from metaterm.terms import Bound, Free, MetaApp, Op
+from metaterm.terms import Bound, Free, Hole, MetaApp, Op
 from metaterm.typecheck import TypeChecker, TypeCheckError
 from metaterm.unification import Undetermined
 
 from helpers import dataclass_repr
+from strategies import signatures, terms
 
 ulc = LANGUAGES["ulc"]
 stlc = LANGUAGES["stlc"]
@@ -102,6 +106,88 @@ def test_ast_output_is_the_dataclass_repr(lang_name, src):
         except (TypeCheckError, Undetermined):
             return
         assert repr(typed) == dataclass_repr(typed)
+
+
+@pytest.mark.parametrize("lang_name", sorted(LANGUAGES))
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_random_terms_round_trip(lang_name, data):
+    lang = LANGUAGES[lang_name]
+    term = data.draw(terms(lang.signature, size=5))
+    printed = print_term(lang, term)
+    assert parse_term(printed, lang) == term, printed
+
+
+def _custom(sig):
+    return Language(sig.name, sig, {}, annotate_signature(sig), {})
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_random_signatures_round_trip(data):
+    """Every signature is written in the generic form ``Tag(…)``."""
+    sig = data.draw(signatures())
+    term = data.draw(terms(sig, size=4))
+    printed = print_term(_custom(sig), term)
+    assert parse_term(printed, _custom(sig)) == term, printed
+
+
+class TestGenericForm:
+    SIG = make_signature(
+        "custom",
+        [
+            ("Nil", []),
+            ("Box", [SlotKind.TERM]),
+            ("Bind", [SlotKind.TERM, SlotKind.SCOPE]),
+            ("Ann", [SlotKind.OPT_TERM, SlotKind.TERM]),
+        ],
+    )
+
+    @pytest.mark.parametrize(
+        "src, term",
+        [
+            ("Nil", Op("Nil")),
+            ("Box(a)", Op("Box", (Free("a"),))),
+            ("Bind(Nil, x. Box(x))", Op("Bind", (Op("Nil"), Op("Box", (Bound(0),))))),
+            ("Ann(_, Nil)", Op("Ann", (None, Op("Nil")))),
+            ("?m[Nil, Ann(a, b)]", MetaApp("m", (Op("Nil"), Op("Ann", (Free("a"), Free("b")))))),
+        ],
+    )
+    def test_parses_and_prints(self, src, term):
+        lang = _custom(self.SIG)
+        assert parse_term(src, lang) == term
+        assert print_term(lang, term) == src
+
+    def test_tags_are_reserved_in_their_language(self):
+        lang = _custom(self.SIG)
+        with pytest.raises(ParseError, match="expected '\\('"):
+            parse_term("Box", lang)
+        with pytest.raises(ParseError, match="'forall' needs at least one name"):
+            parse_constraint("forall Box. Box(a) =?= a", lang)
+        with pytest.raises(ParseError, match="Box takes 1 argument, got 2"):
+            parse_term("Box(a, b)", lang)
+        with pytest.raises(UnknownConstruct, match="application"):
+            parse_term("f a", lang)
+
+    def test_bundled_tags_stay_names(self):
+        assert parse_term("Lam App", ulc) == Op("App", (Free("Lam"), Free("App")))
+        assert parse_term("(Pi : U) -> Pi", mltt) == Op("Pi", (Op("Universe"), Bound(0)))
+
+
+@pytest.mark.parametrize(
+    "term, hole_names",
+    [
+        (Hole(0), ()),
+        (Op("Lam", (Hole(1),)), ("x1",)),
+        (Op("Box", (Free("a"),)), ()),
+        (Op("Lam", ()), ()),
+        (Op("App", (Free("f"),)), ()),
+    ],
+)
+def test_unprintable_terms_raise_value_error(term, hole_names):
+    """A hole without a name, a tag outside the language, a wrong child count."""
+    with pytest.raises(ValueError, match="cannot print"):
+        print_term(ulc, term, hole_names=hole_names)
 
 
 class TestDeBruijnResolution:

@@ -8,7 +8,10 @@ at each of ``SEEDS``, plus two batches of ``RANDOM_COMMANDS`` seeded random
 ``mltt``: one under small budgets (``--fuel 60 --guess-fuel 12``), one under
 budgets that run out in every layer (``--reduce-fuel 1 --fuel 8
 --guess-fuel 2``), then ``AST_COMMANDS`` seeded random ``reduce``/``infer``
-commands with ``--output ast``.  Each tree runs every command in one child
+commands with ``--output ast``, then ``ERROR_COMMANDS`` seeded random
+``reduce``/``infer`` commands whose term is written with the constructs of
+a language drawn independently of the one it runs in, so about a fifth of
+them end in an unknown-construct error.  Each tree runs every command in one child
 process, in-process through ``metaterm.cli.main`` with standard input,
 output and error captured; a command that runs past ``TIMEOUT_S`` seconds
 is recorded as a time-out.  Lists every command whose exit code, stdout or
@@ -47,6 +50,8 @@ TINY_BUDGETS = ("--reduce-fuel", "1", "--fuel", "8", "--guess-fuel", "2")
 TINY_SEED = 11
 AST_COMMANDS = 500
 AST_SEED = 23
+ERROR_COMMANDS = 500
+ERROR_SEED = 37
 #: Seconds a command may run before it is recorded as a time-out.
 TIMEOUT_S = 10.0
 #: Address-space cap of a replaying child, so a runaway command fails alone.
@@ -78,6 +83,7 @@ def corpus_commands(seeds: tuple[int, ...]) -> list[tuple[str, list[str], str | 
 # two arities; none starts with the checker's fresh-name prefix ``t``.
 METAS = {"m": 0, "n": 1, "p": 2}
 FREE = ("a", "b", "c", "f", "g")
+LANGS = ("ulc", "stlc", "mltt")
 BINDERS = ("x", "y", "z", "w")
 
 
@@ -135,7 +141,7 @@ def random_commands(
     rng = random.Random(seed)
     out = []
     for i in range(count):
-        lang = rng.choice(("ulc", "stlc", "mltt"))
+        lang = rng.choice(LANGS)
         command = rng.choice(("unify", "unify", "infer", "check", "reduce"))
         if lang == "ulc" and command in ("infer", "check"):
             command = "unify"
@@ -162,14 +168,19 @@ def random_commands(
     return out
 
 
-def ast_commands(count: int, seed: int) -> list[tuple[str, list[str], str | None]]:
+def term_commands(
+    count: int, seed: int, label: str, options: tuple[str, ...] = (), *, mixed: bool = False
+) -> list[tuple[str, list[str], str | None]]:
+    """``reduce``/``infer`` commands; with ``mixed``, each term is written
+    in a language drawn independently of the one it runs in."""
     rng = random.Random(seed)
     out = []
     for i in range(count):
-        lang = rng.choice(("ulc", "stlc", "mltt"))
+        lang = rng.choice(LANGS)
+        written_in = rng.choice(LANGS) if mixed else lang
         command = "reduce" if lang == "ulc" else rng.choice(("reduce", "infer"))
-        expr = _term(rng, lang, [], rng.randrange(1, 5))
-        out.append((f"ast:{i}", ["--lang", lang, *BUDGETS, "--output", "ast", command, expr], None))
+        expr = _term(rng, written_in, [], rng.randrange(1, 5))
+        out.append((f"{label}:{i}", ["--lang", lang, *BUDGETS, *options, command, expr], None))
     return out
 
 
@@ -246,7 +257,8 @@ def main(argv: list[str] | None = None) -> int:
         corpus_commands(SEEDS)
         + random_commands(RANDOM_COMMANDS, RANDOM_SEED, BUDGETS, "random")
         + random_commands(RANDOM_COMMANDS, TINY_SEED, TINY_BUDGETS, "tiny")
-        + ast_commands(AST_COMMANDS, AST_SEED)
+        + term_commands(AST_COMMANDS, AST_SEED, "ast", ("--output", "ast"))
+        + term_commands(ERROR_COMMANDS, ERROR_SEED, "errors", mixed=True)
     )
     base = run_tree(args.base.resolve(), commands)
     head = run_tree(args.head.resolve(), commands)
