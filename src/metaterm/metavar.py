@@ -56,9 +56,13 @@ class MetaSubstitution:
     when it reads a term.  The chains never close: building a substitution
     raises :class:`ConflictingEntry` when an entry reaches its own
     metavariable, directly or through other entries.
+
+    It owns the identity memo that every :func:`apply_substs` reads through,
+    keyed by the signature's ``binder_shifts`` and kept outside the fields.
     """
 
     entries: Mapping[str, MetaAbs] = field(default_factory=dict)
+    _memo = (None, None)  # not a field: (key, memo) for apply_substs
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
@@ -109,17 +113,19 @@ def _check_acyclic(entries: Mapping[str, MetaAbs], start: Iterable[str]) -> None
 EMPTY_SUBSTS = MetaSubstitution()
 
 
-def apply_substs(sig: Signature, substs: MetaSubstitution, term: Term, memo=None) -> Term:
+def apply_substs(sig: Signature, substs: MetaSubstitution, term: Term) -> Term:
     """Replace every applied metavariable that has an entry, recursively.
 
     Entry bodies may mention metavariables that have entries too; those are
     resolved on the way, so the result mentions no key of ``substs`` (the
     chains end: substitutions are acyclic).  A metavariable without an
-    entry keeps its (substituted) arguments.  ``memo`` is passed to
-    :func:`~metaterm.terms.rebuild`; reuse it only with the same ``substs``.
+    entry keeps its (substituted) arguments.  The walk reads through the
+    memo of ``substs``: a node shared in a term or between calls is applied once.
     """
     if not substs:
         return term
+    if substs._memo[0] is not sig.binder_shifts:
+        object.__setattr__(substs, "_memo", (sig.binder_shifts, {}))
 
     def resolve(t: Term) -> Term:
         while type(t) is MetaApp:
@@ -133,7 +139,7 @@ def apply_substs(sig: Signature, substs: MetaSubstitution, term: Term, memo=None
             t = instantiate_many(sig, t.args, entry.body)
         return t
 
-    return rebuild(term, enter=resolve, memo=memo)
+    return rebuild(term, enter=resolve, memo=substs._memo[1])
 
 
 def extend_substs(

@@ -115,7 +115,6 @@ class TypeChecker:
         self.lang = lang
         self.cfg = cfg
         self.ctx = TypeInfo()
-        self._applied: tuple[MetaSubstitution | None, dict] = (None, {})
 
     # -- scope and state ---------------------------------------------------
 
@@ -277,12 +276,8 @@ class TypeChecker:
         return reduce(self.clarify_term(term), self.lang.reducer, self.cfg.reduce_fuel)
 
     def clarify_term(self, term: Term) -> Term:
-        """``term`` with the substitution applied, through one identity memo
-        per ``ctx.substs`` object: shared annotations are applied once."""
-        substs = self.ctx.substs
-        if self._applied[0] is not substs:
-            self._applied = (substs, {})
-        return apply_substs(self.lang.typed_signature, substs, term, self._applied[1])
+        """``term`` with the substitution applied, once per shared node (its memo)."""
+        return apply_substs(self.lang.typed_signature, self.ctx.substs, term)
 
 
 # ---------------------------------------------------------------------------

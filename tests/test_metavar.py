@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaterm import metavar
 from metaterm.languages import LANGUAGES
 from metaterm.metavar import (
     EMPTY_SUBSTS,
@@ -18,7 +19,7 @@ from metaterm.metavar import (
     extend_substs,
     metas_of,
 )
-from metaterm.terms import Bound, Free, Hole, MetaApp, Op, well_scoped
+from metaterm.terms import Bound, Free, Hole, MetaApp, Op, instantiate_many, well_scoped
 
 from strategies import terms
 
@@ -103,6 +104,24 @@ class TestApply:
         s = MetaSubstitution({"m": MetaAbs(1, lam(Hole(0)))})
         out = apply_substs(SIG, s, MetaApp("m", (Bound(0),)))
         assert out == lam(Bound(1))
+
+    def test_shared_subterm_is_instantiated_once(self, monkeypatch):
+        """The substitution's memo spans calls: a subterm shared by two
+        terms is instantiated once and its result is shared."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return instantiate_many(*args)
+
+        monkeypatch.setattr(metavar, "instantiate_many", counted)
+        s = MetaSubstitution({"m": MetaAbs(1, app(Hole(0), Hole(0)))})
+        shared = app(MetaApp("m", (Free("a"),)), Free("b"))
+        first = apply_substs(SIG, s, app(shared, Free("c")))
+        second = apply_substs(SIG, s, lam(shared))
+        assert len(calls) == 1
+        assert first.children[0] is second.children[0]
+        assert second == lam(app(app(Free("a"), Free("a")), Free("b")))
 
 
 entries = st.dictionaries(

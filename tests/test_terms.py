@@ -230,14 +230,15 @@ CHAINED = MetaSubstitution(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(terms(SIG, size=4), min_size=1, max_size=4))
 def test_memo_agrees_with_no_memo(ts):
-    """A memo reused over shared subterms and over several calls gives what
-    no memo gives.  Entries keep their keys alive: keyed by ``id`` alone,
-    a dead node's ``id`` reused by a new one read back a wrong subterm."""
+    """``CHAINED``'s own memo, warm from every earlier call and example,
+    gives what a fresh substitution's cold memo gives.  Entries keep their
+    keys alive: keyed by ``id`` alone, a dead node's ``id`` reused by a new
+    one read back a wrong subterm."""
     ts = [_by_arity(t) for t in ts]
     dags = ts + [app(a, b) for a, b in zip(ts, ts[1:] + ts[:1])]
-    memo: dict = {}
     for t in dags + dags:
-        assert apply_substs(SIG, CHAINED, t, memo) == apply_substs(SIG, CHAINED, t)
+        fresh = MetaSubstitution(CHAINED.entries)
+        assert apply_substs(SIG, CHAINED, t) == apply_substs(SIG, fresh, t)
 
 
 # -- the cached loose range ------------------------------------------------

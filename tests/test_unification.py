@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaterm import unification
+from metaterm import metavar, unification
 from metaterm.languages import LANGUAGES, Language
 from metaterm.metavar import FreshSupply, MetaAbs, MetaSubstitution, apply_substs, metas_of
 from metaterm.reduction import Rule, normal_form
@@ -204,6 +204,31 @@ class TestFailureModes:
     def test_guess_loop_is_undetermined(self):
         with pytest.raises(Undetermined):
             unify(ulc, MetaSubstitution(), [cstr("?m[] =?= c (?m[])")])
+
+    def test_self_application_grows_slowly_with_fuel(self, monkeypatch):
+        """Self-application duplicates ``?m`` at every level, so its terms
+        double as trees while they grow linearly as shared graphs; each
+        substitution's memo keeps the instantiations near the latter."""
+        calls = [0]
+        inner = metavar.instantiate_many
+
+        def counted(*args):
+            calls[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(metavar, "instantiate_many", counted)
+        counts = []
+        for fuel in (20, 50):
+            calls[0] = 0
+            with pytest.raises(Undetermined):
+                unify(
+                    stlc,
+                    MetaSubstitution(),
+                    [cstr("(first b) =?= (?m[] ?m[])", stlc)],
+                    SearchConfig(fuel=fuel, guess_fuel=12),
+                )
+            counts.append(calls[0])
+        assert counts[1] < 3 * counts[0]
 
     def test_tiny_fuel_reports_undetermined(self):
         with pytest.raises(Undetermined):
