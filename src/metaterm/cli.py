@@ -32,7 +32,7 @@ from .typecheck import (
     UnificationFailure,
     erase,
 )
-from .unification import Clash, SearchConfig, UnificationFailed, unify
+from .unification import Clash, Constraint, SearchConfig, UnificationFailed, unify
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -95,6 +95,10 @@ def _show(lang, term: Term, args: argparse.Namespace) -> str:
     return print_term(lang, term)
 
 
+def _show_constraint(lang, c: Constraint, args: argparse.Namespace) -> str:
+    return repr(c) if args.output == "ast" else print_constraint(lang, c)
+
+
 def _show_type(lang, ty: Term, args: argparse.Namespace) -> str:
     """Types are displayed fully normalized (they may compute) and with
     annotations suppressed."""
@@ -136,12 +140,13 @@ def _run_unify(lang, args: argparse.Namespace) -> int:
     ]
     asked = _meta_arities(t for c in constraints for t in (c.lhs, c.rhs))
     solution = unify(lang, MetaSubstitution(), constraints, _config(args))
+    ast = args.output == "ast"
     for name in asked:
         entry = solution.substs.get(name)
         if entry is not None:
-            print(print_entry(lang, name, entry))
+            print(f"?{name} := {entry!r}" if ast else print_entry(lang, name, entry))
     for residual in solution.residual:
-        print(print_constraint(lang, residual))
+        print(_show_constraint(lang, residual, args))
     return EXIT_OK
 
 
@@ -159,7 +164,7 @@ def _run_typed(lang, args: argparse.Namespace) -> int:
     typed = checker.infer(term) if expected is None else checker.check(term, expected)
     print(_show_type(lang, checker.clarify_term(checker.type_of(typed)), args))
     for residual in checker.ctx.constraints:
-        print(print_constraint(lang, residual))
+        print(_show_constraint(lang, residual, args))
     return EXIT_OK
 
 

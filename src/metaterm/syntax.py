@@ -283,7 +283,7 @@ class _Parser:
         tag = _TOKENS.get(arrow.kind)
         if tag not in _DEPENDENT:
             tokens = " or ".join(repr(_NOTATIONS[t].separator.strip()) for t in _DEPENDENT)
-            message = f"expected {tokens} after binder, found {arrow.text!r}"
+            message = f"expected {tokens} after binder, found {arrow.text or 'end of input'!r}"
             raise ParseError(message, arrow.line, arrow.column)
         body = yield self.under(name)
         return self.make(tag, (domain, body), tok, scoped=True)

@@ -146,6 +146,17 @@ class TestUnify:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: metavariable ?m is applied to 1 and to 2 arguments\n"
 
+    def test_ast_output(self, capsys, monkeypatch):
+        problem = "forall x. ?m[x] =?= f x\n?a[] =?= ?b[]\n"
+        argv = ["--output", "ast", "unify", "-"]
+        code, out, _ = run(argv, capsys, stdin=problem, monkeypatch=monkeypatch)
+        assert code == EXIT_OK
+        assert out == (
+            "?m := MetaAbs(arity=1, body=Op(tag='App',"
+            " children=(Free(name='f'), Hole(index=0)), ann=None))\n"
+            "<MetaApp(meta='a', args=()) =?= MetaApp(meta='b', args=())>\n"
+        )
+
 
 class TestInfer:
     def test_stlc_constant_function(self, capsys):
@@ -167,6 +178,14 @@ class TestInfer:
     def test_fresh_type_metas_avoid_input_names(self, capsys):
         code, out, _ = run(["--lang", "stlc", "infer", r"\x. ?t1[]"], capsys)
         assert (code, out) == (EXIT_OK, "?t2[] -> ?t3[]\n")
+
+    def test_ast_output_shows_residuals_as_ast(self, capsys):
+        argv = ["--lang", "stlc", "--output", "ast", "infer", r"\f. \x. f (f x)"]
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == [
+            "<forall^2. MetaApp(meta='t3', args=()) =?= MetaApp(meta='t2', args=())>"
+        ]
 
     def test_ulc_has_no_types(self, capsys):
         code, _, err = run(["infer", r"\x. x"], capsys)

@@ -84,6 +84,8 @@ GOLDEN = [
     (['--lang', 'stlc', 'reduce', 'a = b'], None, 64, '', "syntax error: identity type is not part of language 'stlc' (line 1, column 3)\n"),
     (['--lang', 'stlc', 'reduce', 'J(a, b, c, d, e, f)'], None, 64, '', "syntax error: identity eliminator is not part of language 'stlc' (line 1, column 1)\n"),
     (['--lang', 'mltt', 'reduce', 'J(a, b)'], None, 64, '', 'syntax error: J takes 6 arguments, got 2 (line 1, column 1)\n'),
+    # A missing binder arrow at the end of input is named as such.
+    (['--lang', 'stlc', 'infer', '(a:b)'], None, 64, '', "syntax error: expected '->' or '*' after binder, found 'end of input' (line 1, column 6)\n"),
 ]
 
 

@@ -2,7 +2,7 @@
 
     python tools/scaling.py [--tree DIR] [--repeats N]
 
-Runs five families in process:
+Runs seven families in process:
 
 - ``TypeChecker.infer`` on the STLC apply-chain
   ``\\f. \\a1. … \\an. f a1 … an`` at n = ``CHAIN_SIZES``;
@@ -14,7 +14,15 @@ Runs five families in process:
   which it parses and prints back, at ``ARROWS`` arrows;
 - the ``reduce`` command on the MLTT telescope
   ``(x0 : U) -> (x1 : x0) -> … -> x(n-1)``, whose names are resolved
-  ``n`` binders deep, at ``TELESCOPE`` binders.
+  ``n`` binders deep, at ``TELESCOPE`` binders;
+- ``unify`` on the STLC self-application ``(first b) =?= (?m[] ?m[])``
+  (``guess_fuel`` 12), at the candidate budgets ``SELFAPP_FUEL``;
+- ``TypeChecker.infer`` on the MLTT J chain
+  ``J(?m[\\x. first x], a, a, c, b, a)``, at the candidate budgets
+  ``JCHAIN_FUEL``.
+
+The last two are searches that go down one branch until the budget runs
+out; their size is the budget.
 
 For each size it prints the median CPU time of ``--repeats`` plain runs,
 then, from one more run with counters attached: ``walk_pops``, the items
@@ -22,10 +30,10 @@ popped off the stacks of the term walks (``terms.subterms``,
 ``terms.rebuild`` and ``terms.loose`` where the tree has it: one per node
 visited, plus one per node rebuilt or whose range is computed); for the
 ``reduce`` families ``head_steps``, the calls of the language's rule
-table; and for the inference families ``apply_substs`` calls, operator
+table; for the inference families ``apply_substs`` calls, operator
 nodes and metavariable applications built (every ``Op`` and ``MetaApp``
 constructed), and the nodes of the result, distinct by identity and as a
-tree.  The last line is one JSON object with the same rows and, per
+tree; and for the search families ``apply_substs`` calls.  The last line is one JSON object with the same rows and, per
 family, the least-squares log-log slopes of time and of ``walk_pops``
 over all its sizes.
 
@@ -54,6 +62,8 @@ TOWER_LEVELS = (150, 300, 600)
 CHURCH_VALUES = (64, 128, 256, 512, 1024)
 ARROWS = (250, 500, 1000, 2000)
 TELESCOPE = (500, 1000, 2000, 4000)
+SELFAPP_FUEL = (20, 30, 40, 50)
+JCHAIN_FUEL = (25, 50, 100, 200)
 
 
 def apply_chain(n: int) -> str:
@@ -260,6 +270,44 @@ def reduce_row(lang: str, source: str, repeats: int) -> dict:
     return {"ms": ms, "walk_pops": walks.pops, "head_steps": steps.steps}
 
 
+def self_application(fuel: int):
+    from metaterm import LANGUAGES, MetaSubstitution, SearchConfig, parse_constraint, unify
+
+    stlc = LANGUAGES["stlc"]
+    problem = [parse_constraint("(first b) =?= (?m[] ?m[])", stlc)]
+    return lambda: unify(stlc, MetaSubstitution(), problem, SearchConfig(fuel=fuel, guess_fuel=12))
+
+
+def j_chain(fuel: int):
+    from metaterm import LANGUAGES, SearchConfig, TypeChecker, parse_term
+
+    mltt = LANGUAGES["mltt"]
+    term = parse_term("J(?m[\\x. first x], a, a, c, b, a)", mltt)
+    return lambda: TypeChecker(mltt, SearchConfig(fuel=fuel)).infer(term)
+
+
+def search_row(search, repeats: int) -> dict:
+    """A search that must end with its candidate budget spent."""
+    from metaterm import Undetermined
+
+    def once():
+        try:
+            search()
+        except Undetermined:
+            return
+        raise SystemExit("a search family ended before its budget ran out")
+
+    times = []
+    for _ in range(repeats):
+        start = process_time()
+        once()
+        times.append(process_time() - start)
+    with Counters() as counters, WalkCounter() as walks:
+        once()
+    ms = round(1000 * statistics.median(times), 2)
+    return {"ms": ms, "walk_pops": walks.pops, "apply_substs_calls": counters.apply_substs}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", type=Path, default=ROOT, help="source tree to measure")
@@ -276,6 +324,8 @@ def main(argv: list[str] | None = None) -> int:
         ("church_add", lambda n: reduce_row("ulc", church_addition(n), args.repeats), CHURCH_VALUES),
         ("mltt_arrows", lambda n: reduce_row("mltt", arrow_chain(n), args.repeats), ARROWS),
         ("telescope", lambda n: reduce_row("mltt", telescope(n), args.repeats), TELESCOPE),
+        ("selfapp", lambda n: search_row(self_application(n), args.repeats), SELFAPP_FUEL),
+        ("jchain", lambda n: search_row(j_chain(n), args.repeats), JCHAIN_FUEL),
     ):
         rows = []
         for size in sizes:
