@@ -33,9 +33,9 @@ visited, plus one per node rebuilt or whose range is computed); for the
 table; for the inference families ``apply_substs`` calls, operator
 nodes and metavariable applications built (every ``Op`` and ``MetaApp``
 constructed), and the nodes of the result, distinct by identity and as a
-tree; and for the search families ``apply_substs`` calls.  The last line is one JSON object with the same rows and, per
-family, the least-squares log-log slopes of time and of ``walk_pops``
-over all its sizes.
+tree; and for the search families ``apply_substs`` calls.  The last line
+is one JSON object with the same rows and, per family, the least-squares
+log-log slopes of time and of ``walk_pops`` over all its sizes.
 
 ``--tree`` imports metaterm from ``DIR/src`` (default: this checkout), so
 two source trees can be compared.  Not part of the test suite.
