@@ -102,7 +102,7 @@ def _show_constraint(lang, c: Constraint, args: argparse.Namespace) -> str:
 def _show_type(lang, ty: Term, args: argparse.Namespace) -> str:
     """Types are displayed fully normalized (they may compute) and with
     annotations suppressed."""
-    plain = erase(normal_form(ty, lang.reducer, args.reduce_fuel))
+    plain = erase(normal_form(lang.typed_signature, ty, lang.reducer, args.reduce_fuel))
     return _show(lang, plain, args)
 
 
@@ -123,7 +123,7 @@ def _meta_arities(terms: Iterable[Term]) -> dict[str, int]:
 
 def _run_reduce(lang, args: argparse.Namespace) -> int:
     term = parse_term(args.expr, lang)
-    print(_show(lang, reduce(term, lang.reducer, _config(args).reduce_fuel), args))
+    print(_show(lang, reduce(lang.signature, term, lang.reducer, _config(args).reduce_fuel), args))
     return EXIT_OK
 
 

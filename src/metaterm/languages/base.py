@@ -20,10 +20,9 @@ InferRule = Callable[[object, Op], Generator]
 class Language:
     """A concrete object language.
 
-    ``reducer`` is the one reduction rule table.  It is built over
-    ``typed_signature`` and reduces plain terms as well: the typed
-    signature only adds the nullary annotation terminator.  The unifier
-    reads its guesses off the rules (see :mod:`metaterm.reduction`).
+    ``reducer`` is the one reduction rule table; it reduces plain terms
+    under ``signature`` and typed ones under ``typed_signature``.  The
+    unifier reads its guesses off the rules (see :mod:`metaterm.reduction`).
     ``shapes`` lists eliminator tags of ``reducer``; the unifier tries
     their skeletons as candidates, the head in the rule's principal slot.
     ``signature`` drives plain unification and ``typed_signature`` the

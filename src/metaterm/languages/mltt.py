@@ -131,7 +131,7 @@ language = Language(
     name="mltt",
     signature=signature,
     reducer={
-        APP: beta(typed_signature),
+        APP: beta(),
         FIRST: projection(0),
         SECOND: projection(1),
         J: identity_elim(),

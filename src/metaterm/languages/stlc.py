@@ -53,7 +53,7 @@ typed_signature = annotate_signature(signature)
 language = Language(
     name="stlc",
     signature=signature,
-    reducer={APP: beta(typed_signature), FIRST: projection(0), SECOND: projection(1)},
+    reducer={APP: beta(), FIRST: projection(0), SECOND: projection(1)},
     typed_signature=typed_signature,
     infer_rules=infer_rules,
     shapes=(APP, FIRST, SECOND),

@@ -23,7 +23,7 @@ typed_signature = annotate_signature(signature)
 language = Language(
     name="ulc",
     signature=signature,
-    reducer={APP: beta(typed_signature)},
+    reducer={APP: beta()},
     typed_signature=typed_signature,
     infer_rules={},
     shapes=(APP,),

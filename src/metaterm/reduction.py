@@ -13,10 +13,10 @@ fires (one unit of fuel), and goes on with the contractum.  As in
 Krivine's machine, substitution waits in an environment: a binding step
 pushes a closure instead of rebuilding the body it enters, and a variable
 in head position goes on with its closure.  Only what ``reduce`` hands
-back is read back (:func:`terms.close`): the WHNF, a stuck node's other
-children, and a metavariable's arguments, which reduce strictly.  Rules
-never call the reducer, so tables merged by :func:`sum_reduce` reduce
-through each other's constructions.
+back is read back (:func:`terms.close`) under the caller's signature: the
+WHNF, a stuck node's other children, and a metavariable's arguments, which
+reduce strictly.  Rules hold no signature and never call the reducer, so
+tables merged by :func:`sum_reduce` reduce through each other's constructions.
 
 A budget that runs out raises :class:`Undetermined`, the one exception for
 the "undetermined" outcome of every layer: the unifier and the type
@@ -47,23 +47,22 @@ class Rule:
     """Fire when the principal child reduces to an ``intro`` node; the
     contractum is child ``child`` of that node (of the eliminator when
     ``from_elim``), whose binders the eliminator's children ``binds`` fill,
-    the last one innermost.  A rule that binds carries its signature."""
+    the last one innermost."""
 
     principal: int
     intro: str
     child: int
     binds: tuple[int, ...] = ()
-    sig: Signature | None = None
     from_elim: bool = False
 
     def __call__(self, node: Op, head: Term) -> bool:
         return type(head) is Op and head.tag == self.intro
 
 
-def beta(sig: Signature) -> Rule:
+def beta() -> Rule:
     """``App(Lam(body), arg)`` to ``body[arg]``; the lambda body is the
     last child of ``Lam`` (an optional domain may precede it)."""
-    return Rule(0, "Lam", -1, binds=(1,), sig=sig)
+    return Rule(0, "Lam", -1, binds=(1,))
 
 
 def projection(index: int) -> Rule:
@@ -77,25 +76,25 @@ def identity_elim() -> Rule:
 
 
 def sum_reduce(left: Reducer, right: Reducer) -> Reducer:
-    """Combine reducers of signatures with disjoint tags."""
+    """Combine reducers of disjoint signatures, to run under their ``sum_signature``."""
     overlap = left.keys() & right.keys()
     if overlap:
         raise ValueError(f"overlapping reduction rules: {sorted(overlap)}")
     return {**left, **right}
 
 
-def normal_form(term: Term, rules: Reducer, fuel: int = DEFAULT_REDUCE_FUEL) -> Term:
-    """Full normal form: WHNF at every node, including under binders.
+def normal_form(
+    sig: Signature, term: Term, rules: Reducer, fuel: int = DEFAULT_REDUCE_FUEL
+) -> Term:
+    """Full normal form: the WHNF (:func:`reduce`) at every node.
 
     Used for display; the fuel budget applies per node.  Going under scope
-    children needs no index shifting because nothing moves across a
-    binder.
-    """
-    return rebuild(term, enter=lambda t: reduce(t, rules, fuel))
+    children shifts no index: nothing moves across a binder."""
+    return rebuild(term, enter=lambda t: reduce(sig, t, rules, fuel))
 
 
-def reduce(term: Term, rules: Reducer, fuel: int = DEFAULT_REDUCE_FUEL) -> Term:
-    """Weak head normal form of ``term`` under ``rules``.
+def reduce(sig: Signature, term: Term, rules: Reducer, fuel: int = DEFAULT_REDUCE_FUEL) -> Term:
+    """Weak head normal form of ``term`` under ``rules`` and signature ``sig``.
 
     Variables are inert; metavariable arguments are reduced; operator nodes
     without a rule are already in WHNF.  Each rule invocation costs one unit
@@ -105,7 +104,7 @@ def reduce(term: Term, rules: Reducer, fuel: int = DEFAULT_REDUCE_FUEL) -> Term:
     # Nodes waiting for a WHNF, each with its environment: (eliminator, its
     # rule, env), or (metavariable application, its arguments so far, env).
     pending: list[tuple[Term, object, list | None]] = []
-    t, env, sig = term, None, None  # the spine's term, its environment, a binding rule's sig
+    t, env = term, None  # the spine's term and its environment
     while True:
         while True:  # down the head spine
             if type(t) is Op:
@@ -142,7 +141,7 @@ def reduce(term: Term, rules: Reducer, fuel: int = DEFAULT_REDUCE_FUEL) -> Term:
                 source, env = (node, outer) if waiting.from_elim else (t, env)
                 t = source.children[waiting.child]
                 for i in waiting.binds:
-                    sig, env = waiting.sig, [node.children[i], outer, env]
+                    env = [node.children[i], outer, env]
                 break
             p, kids, ann = waiting.principal, node.children, node.ann
             head = t if env is None else close(sig, t, env)

@@ -273,7 +273,8 @@ class TypeChecker:
     def whnf(self, term: Term) -> Term:
         """Weak head normal form, substitutions applied first (types may
         compute)."""
-        return reduce(self.clarify_term(term), self.lang.reducer, self.cfg.reduce_fuel)
+        sig = self.lang.typed_signature
+        return reduce(sig, self.clarify_term(term), self.lang.reducer, self.cfg.reduce_fuel)
 
     def clarify_term(self, term: Term) -> Term:
         """``term`` with the substitution applied, once per shared node (its memo)."""

@@ -192,8 +192,8 @@ def simplify_all(
 
     while queue:
         c = queue.popleft()
-        lhs = reduce(apply_substs(sig, substs, c.lhs), lang.reducer, cfg.reduce_fuel)
-        rhs = reduce(apply_substs(sig, substs, c.rhs), lang.reducer, cfg.reduce_fuel)
+        lhs = reduce(sig, apply_substs(sig, substs, c.lhs), lang.reducer, cfg.reduce_fuel)
+        rhs = reduce(sig, apply_substs(sig, substs, c.rhs), lang.reducer, cfg.reduce_fuel)
 
         guesses: dict[str, MetaAbs] = {}
         _collect_guesses(lang, lhs, supply, guesses)

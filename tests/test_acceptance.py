@@ -237,10 +237,10 @@ def test_criterion_5_solutions_survive_reapplication():
 @given(terms(ulc.signature, with_metas=True))
 def test_criterion_6_whnf_idempotent_1000(t):
     try:
-        once = reduce(t, ulc.reducer, 200)
+        once = reduce(ulc.signature, t, ulc.reducer, 200)
     except Undetermined:
         return  # divergent draws have no WHNF to compare
-    assert reduce(once, ulc.reducer, 200) == once
+    assert reduce(ulc.signature, once, ulc.reducer, 200) == once
 
 
 @settings(max_examples=1000, deadline=None)

@@ -205,8 +205,8 @@ def test_library_calls_leave_the_process_alone():
     limit, threads = sys.getrecursionlimit(), threading.active_count()
 
     deep = parse_term("g (" * 1999 + "g x" + ")" * 1999, ulc)
-    assert reduce(parse_term(r"(\x. x) a", ulc), ulc.reducer) == parse_term("a", ulc)
-    assert normal_form(deep, ulc.reducer) == deep
+    assert reduce(ulc.signature, parse_term(r"(\x. x) a", ulc), ulc.reducer) == parse_term("a", ulc)
+    assert normal_form(ulc.signature, deep, ulc.reducer) == deep
     constraint = parse_constraint("forall x. ?m[x] =?= f x (g x)", ulc)
     assert unify(ulc, MetaSubstitution(), [constraint]).substs.get("m") is not None
     TypeChecker(stlc).infer(parse_term(r"\f. \x. f (f x)", stlc))

@@ -69,7 +69,7 @@ def test_custom_language_example_runs():
     boxes = scope["boxes"]
     assert scope["shown"] == "Unbox(Box(a))"
     assert parse_term("Unbox(Box(a))", boxes) == scope["term"]
-    assert reduce(Op("Unbox", (Op("Box", (Free("a"),)),)), boxes.reducer) == Free("a")
+    assert reduce(boxes.signature, scope["term"], boxes.reducer) == Free("a")
     stuck = Constraint(Op("Unbox", (MetaApp("m"),)), Free("a"))
     solution = unify(boxes, MetaSubstitution({}), [stuck])
     assert solution.substs.get("m").body == Op("Box", (Free("a"),))

@@ -15,7 +15,7 @@ from metaterm.reduction import (
     reduce,
     sum_reduce,
 )
-from metaterm.signature import SlotKind, make_signature
+from metaterm.signature import SlotKind, make_signature, sum_signature
 from metaterm.syntax import parse_term
 from metaterm.terms import Bound, Free, MetaApp, Op, instantiate, rebuild, well_scoped
 
@@ -32,74 +32,75 @@ def ul(src: str):
 
 class TestBeta:
     def test_simple_redex(self):
-        assert reduce(ul(r"(\x. x) a"), ulc.reducer) == Free("a")
+        assert reduce(ulc.signature, ul(r"(\x. x) a"), ulc.reducer) == Free("a")
 
     def test_weak_head_only(self):
         # the argument of a stuck application is left unreduced
         t = ul(r"f ((\x. x) a)")
-        assert reduce(t, ulc.reducer) == t
+        assert reduce(ulc.signature, t, ulc.reducer) == t
 
     def test_no_reduction_under_lambda(self):
         t = ul(r"\y. (\x. x) a")
-        assert reduce(t, ulc.reducer) == t
+        assert reduce(ulc.signature, t, ulc.reducer) == t
 
     def test_iterated_redexes(self):
-        assert reduce(ul(r"(\x. \y. y x) a b"), ulc.reducer) == ul("b a")
+        assert reduce(ulc.signature, ul(r"(\x. \y. y x) a b"), ulc.reducer) == ul("b a")
 
     def test_whnf_reads_several_closures(self):
-        assert reduce(ul(r"(\x. \y. \z. z x y) a b"), ulc.reducer) == ul(r"\z. z a b")
+        t = ul(r"(\x. \y. \z. z x y) a b")
+        assert reduce(ulc.signature, t, ulc.reducer) == ul(r"\z. z a b")
 
     def test_divergence_raises(self):
         omega = ul(r"(\x. x x) (\x. x x)")
         with pytest.raises(Undetermined):
-            reduce(omega, ulc.reducer, fuel=100)
+            reduce(ulc.signature, omega, ulc.reducer, fuel=100)
 
 
 class TestProjections:
     def test_first_second(self):
-        assert reduce(parse_term("first <a, b>", stlc), stlc.reducer) == Free("a")
-        assert reduce(parse_term("second <a, b>", stlc), stlc.reducer) == Free("b")
+        assert reduce(stlc.signature, parse_term("first <a, b>", stlc), stlc.reducer) == Free("a")
+        assert reduce(stlc.signature, parse_term("second <a, b>", stlc), stlc.reducer) == Free("b")
 
     def test_stuck_projection(self):
         t = parse_term("first p", stlc)
-        assert reduce(t, stlc.reducer) == t
+        assert reduce(stlc.signature, t, stlc.reducer) == t
 
 
 class TestIdentityEliminator:
     def test_fires_on_refl(self):
         t = parse_term("J(A, a, C, d, a, refl a)", mltt)
-        assert reduce(t, mltt.reducer) == Free("d")
+        assert reduce(mltt.signature, t, mltt.reducer) == Free("d")
 
     def test_reduces_base_to_whnf(self):
         t = parse_term(r"J(A, a, C, (\x. x) d, a, refl a)", mltt)
-        assert reduce(t, mltt.reducer) == Free("d")
+        assert reduce(mltt.signature, t, mltt.reducer) == Free("d")
 
     def test_proof_is_head_reduced_first(self):
         t = parse_term(r"J(A, a, C, d, a, (\p. p) (refl a))", mltt)
-        assert reduce(t, mltt.reducer) == Free("d")
+        assert reduce(mltt.signature, t, mltt.reducer) == Free("d")
 
     def test_stuck_without_refl(self):
         t = parse_term("J(A, a, C, d, x, p)", mltt)
-        assert reduce(t, mltt.reducer) == t
+        assert reduce(mltt.signature, t, mltt.reducer) == t
 
 
 class TestMetaStrictness:
     def test_arguments_reduced(self):
         t = MetaApp("m", (ul(r"(\x. x) a"),))
-        assert reduce(t, ulc.reducer) == MetaApp("m", (Free("a"),))
+        assert reduce(ulc.signature, t, ulc.reducer) == MetaApp("m", (Free("a"),))
 
     def test_application_itself_remains(self):
         t = Op("App", (MetaApp("m"), Free("a")))
-        assert reduce(t, ulc.reducer) == t
+        assert reduce(ulc.signature, t, ulc.reducer) == t
 
 
 class TestCombination:
     def test_empty_reduce_is_inert(self):
         t = ul(r"(\x. x) a")
-        assert reduce(t, {}) == t
+        assert reduce(ulc.signature, t, {}) == t
 
     def test_sum_disjoint(self):
-        merged = sum_reduce({"A": lambda n, go: n}, {"B": lambda n, go: n})
+        merged = sum_reduce({"A": lambda node, head: False}, {"B": lambda node, head: False})
         assert set(merged) == {"A", "B"}
 
     def test_sum_overlap_rejected(self):
@@ -112,17 +113,17 @@ class TestCombination:
 def test_whnf_idempotent(t):
     """Reducing a WHNF again changes nothing."""
     try:
-        once = reduce(t, stlc.reducer, fuel=300)
+        once = reduce(stlc.signature, t, stlc.reducer, fuel=300)
     except Undetermined:
         return  # divergent fuzz case: nothing to assert
-    assert reduce(once, stlc.reducer, fuel=300) == once
+    assert reduce(stlc.signature, once, stlc.reducer, fuel=300) == once
 
 
 @settings(max_examples=300, deadline=None)
 @given(terms(stlc.signature, depth=0, size=4))
 def test_whnf_preserves_well_scopedness(t):
     try:
-        out = reduce(t, stlc.reducer, fuel=300)
+        out = reduce(stlc.signature, t, stlc.reducer, fuel=300)
     except Undetermined:
         return
     assert well_scoped(stlc.signature, out)
@@ -130,10 +131,10 @@ def test_whnf_preserves_well_scopedness(t):
 
 def test_normal_form_reduces_everywhere():
     t = parse_term(r"\y. (\x. x) a", ulc)
-    assert normal_form(t, ulc.reducer) == parse_term(r"\y. a", ulc)
+    assert normal_form(ulc.signature, t, ulc.reducer) == parse_term(r"\y. a", ulc)
 
 
-def substitution_reduce(term, rules, fuel):
+def substitution_reduce(sig, term, rules, fuel):
     """The reference reducer: the loop ``reduce`` ran before it kept an
     environment, where each contraction builds its contractum at once (a
     β-step instantiates the body).  Returns the WHNF and the fuel spent."""
@@ -170,7 +171,7 @@ def substitution_reduce(term, rules, fuel):
                 assert len(waiting.binds) <= 1  # the bundled rules bind at most one
                 t = (node if waiting.from_elim else t).children[waiting.child]
                 for i in waiting.binds:
-                    t = instantiate(waiting.sig, t, node.children[i])
+                    t = instantiate(sig, t, node.children[i])
                 break
             p = waiting.principal
             t = Op(node.tag, (*node.children[:p], t, *node.children[p + 1 :]), node.ann)
@@ -185,27 +186,29 @@ def test_environment_machine_matches_the_substitution_loop(lang, data):
     """Same WHNF, same fuel: enough at the reference's step count, one
     short of it undetermined.  Open, annotated and metavariable terms."""
     depth = data.draw(st.integers(0, 2))
-    t = data.draw(redex_terms(lang.signature, depth, 4, annotate=data.draw(st.booleans())))
+    annotate = data.draw(st.booleans())
+    sig = lang.typed_signature if annotate else lang.signature
+    t = data.draw(redex_terms(lang.signature, depth, 4, annotate=annotate))
     try:
-        expected, steps = substitution_reduce(t, lang.reducer, 300)
+        expected, steps = substitution_reduce(sig, t, lang.reducer, 300)
     except Undetermined:
         with pytest.raises(Undetermined):
-            reduce(t, lang.reducer, 300)
+            reduce(sig, t, lang.reducer, 300)
         return
-    assert substitution_reduce(t, lang.reducer, steps)[0] == expected
-    assert reduce(t, lang.reducer, steps) == expected
+    assert substitution_reduce(sig, t, lang.reducer, steps)[0] == expected
+    assert reduce(sig, t, lang.reducer, steps) == expected
     if steps:
         with pytest.raises(Undetermined):
-            reduce(t, lang.reducer, steps - 1)
+            reduce(sig, t, lang.reducer, steps - 1)
     try:
-        reference = rebuild(t, enter=lambda s: substitution_reduce(s, lang.reducer, 300)[0])
+        reference = rebuild(t, enter=lambda s: substitution_reduce(sig, s, lang.reducer, 300)[0])
     except Undetermined:
         return
-    assert normal_form(t, lang.reducer, 300) == reference
+    assert normal_form(sig, t, lang.reducer, 300) == reference
 
 
 def test_closure_value_is_read_back_once_and_shared():
-    out = reduce(ul(r"(\z. (\x. \y. y x x) (f z)) b"), ulc.reducer)
+    out = reduce(ulc.signature, ul(r"(\z. (\x. \y. y x x) (f z)) b"), ulc.reducer)
     assert out == ul(r"\y. y (f b) (f b)")
     spine = out.children[0]
     assert spine.children[1] is spine.children[0].children[1]
@@ -215,7 +218,7 @@ def test_stuck_node_reads_its_children_in_its_own_environment():
     # at depth 1: (\x. x v) f, where v is the variable just outside; the
     # head f comes from a closure, v from the node's own environment
     t = Op("App", (Op("Lam", (Op("App", (Bound(0), Bound(1))),)), Free("f")))
-    assert reduce(t, ulc.reducer) == Op("App", (Free("f"), Bound(0)))
+    assert reduce(ulc.signature, t, ulc.reducer) == Op("App", (Free("f"), Bound(0)))
 
 
 def test_stuck_node_reads_a_scope_child_under_its_binder():
@@ -230,7 +233,20 @@ def test_stuck_node_reads_a_scope_child_under_its_binder():
             ("Bind", [SlotKind.TERM, SlotKind.SCOPE]),
         ],
     )
-    rules = {"App": beta(sig), "Bind": Rule(0, "Ret", 0)}
+    rules = {"App": beta(), "Bind": Rule(0, "Ret", 0)}
     body = Op("Bind", (Free("m"), Op("App", (Bound(0), Bound(1)))))
     t = Op("App", (Op("Lam", (body,)), Free("a")))
-    assert reduce(t, rules) == Op("Bind", (Free("m"), Op("App", (Bound(0), Free("a")))))
+    assert reduce(sig, t, rules) == Op("Bind", (Free("m"), Op("App", (Bound(0), Free("a")))))
+
+
+def test_summed_languages_reduce_under_the_summed_signature():
+    # App2(Lam2(x. App(Lam(y. Lam2(z. x)), c)), d): the inner beta-step
+    # enters Lam's scope, yet x is still read through Lam2's closure
+    first = make_signature("one", [("Lam", [SlotKind.SCOPE]), ("App", [SlotKind.TERM] * 2)])
+    second = make_signature("two", [("Lam2", [SlotKind.SCOPE]), ("App2", [SlotKind.TERM] * 2)])
+    sig = sum_signature(first, second)
+    rules = sum_reduce({"App": beta()}, {"App2": Rule(0, "Lam2", 0, binds=(1,))})
+    inner = Op("App", (Op("Lam", (Op("Lam2", (Bound(2),)),)), Free("c")))
+    t = Op("App2", (Op("Lam2", (inner,)), Free("d")))
+    assert reduce(sig, t, rules) == Op("Lam2", (Free("d"),))
+    assert normal_form(sig, t, rules) == Op("Lam2", (Free("d"),))

@@ -32,7 +32,7 @@ mltt = LANGUAGES["mltt"]
 
 
 def shown_type(lang, tc: TypeChecker, typed) -> str:
-    ty = erase(normal_form(tc.type_of(typed), lang.reducer))
+    ty = erase(normal_form(lang.typed_signature, tc.type_of(typed), lang.reducer))
     return print_term(lang, ty)
 
 

@@ -515,7 +515,7 @@ def canonical(term):
 def answer(lang, c: Constraint, solution: Solution):
     """The normal form of what the solution makes of the flex side."""
     solved = apply_substs(lang.signature, solution.substs, c.lhs)
-    return canonical(normal_form(solved, lang.reducer))
+    return canonical(normal_form(lang.signature, solved, lang.reducer))
 
 
 @settings(max_examples=400, deadline=None)
