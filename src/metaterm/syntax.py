@@ -517,13 +517,11 @@ def print_term(
 
 
 def print_constraint(lang, c: Constraint) -> str:
-    names: list[str] = []
-    for i in range(c.binders):
-        given = c.binder_names[i] if i < len(c.binder_names) else ""
-        names.append(given or _fresh_name(set(names))[0])
+    given = c.binder_names + ("",) * c.binders  # a binder without a name is x<i+1>
+    names = tuple(given[i] or f"x{i + 1}" for i in range(c.binders))
     body = (
-        f"{print_term(lang, c.lhs, binder_names=tuple(names))}"
-        f" =?= {print_term(lang, c.rhs, binder_names=tuple(names))}"
+        f"{print_term(lang, c.lhs, binder_names=names)}"
+        f" =?= {print_term(lang, c.rhs, binder_names=names)}"
     )
     if names:
         return f"forall {' '.join(names)}. {body}"

@@ -206,7 +206,7 @@ class TypeChecker:
                 if rule is None:
                     raise TypeCheckError(f"no typing rule for {tag!r}")
                 return (yield rule(self, term))
-        raise TypeError(f"not a term: {term!r}")
+        raise TypeCheckError(f"not a term: {term!r}")
 
     def should_have_type(self, typed: Term, expected: Term) -> Term:
         """Unify the type of ``typed`` with ``expected``; returns ``typed``."""
@@ -251,8 +251,7 @@ class TypeChecker:
     # -- unification bridge ------------------------------------------------
 
     def unify_with_expected(self, actual: Term, expected: Term) -> None:
-        names = tuple(f"x{i + 1}" for i in range(self.depth))
-        new = Constraint(actual, expected, self.depth, names)
+        new = Constraint(actual, expected, self.depth)
         try:
             solution = unify(
                 self.lang.typed_view,
@@ -263,9 +262,7 @@ class TypeChecker:
             )
         except UnificationFailed as exc:
             # Report the types as solved so far: rules pass them unapplied.
-            shown = Constraint(
-                self.clarify_term(actual), self.clarify_term(expected), self.depth, names
-            )
+            shown = Constraint(self.clarify_term(actual), self.clarify_term(expected), self.depth)
             raise UnificationFailure(shown) from exc
         self.ctx.substs = solution.substs
         self.ctx.constraints = list(solution.residual)

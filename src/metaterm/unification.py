@@ -68,7 +68,7 @@ class Constraint:
 
     Both sides are well-scoped at depth ``binders``; solutions must not
     mention the universally bound variables.  ``binder_names`` are display
-    names (may be empty).
+    names, outermost first; the printer calls a binder past them ``x<i+1>``.
     """
 
     lhs: Term
@@ -225,13 +225,7 @@ def simplify_all(
             raise Clash(c)
         _, slots = matched
         for kind, lc, rc in slots:
-            if kind is SlotKind.SCOPE:
-                name = f"x{c.binders + 1}"
-                queue.append(
-                    Constraint(lc, rc, c.binders + 1, c.binder_names + (name,))
-                )
-            else:
-                queue.append(Constraint(lc, rc, c.binders, c.binder_names))
+            queue.append(Constraint(lc, rc, c.binders + (kind is SlotKind.SCOPE), c.binder_names))
 
     return done, substs
 

@@ -18,7 +18,7 @@ from metaterm.syntax import (
 )
 from metaterm.terms import Bound, Free, Hole, MetaApp, Op
 from metaterm.typecheck import TypeChecker, TypeCheckError
-from metaterm.unification import Undetermined
+from metaterm.unification import Constraint, Undetermined
 
 from helpers import dataclass_repr
 from strategies import signatures, terms
@@ -270,6 +270,12 @@ class TestConstraints:
             c = parse_constraint(src, ulc)
             printed = print_constraint(ulc, c)
             assert parse_constraint(printed, ulc) == c
+
+    def test_unnamed_binders_print_by_position(self):
+        c = Constraint(MetaApp("m", (Bound(1),)), Bound(0), 2)
+        assert print_constraint(ulc, c) == "forall x1 x2. ?m[x1] =?= x2"
+        c = Constraint(MetaApp("m", (Bound(1),)), Bound(0), 2, ("y",))
+        assert print_constraint(ulc, c) == "forall y x2. ?m[y] =?= x2"
 
     def test_forall_introduces_binders(self):
         c = parse_constraint("forall x y. ?m[x] =?= y", ulc)

@@ -338,8 +338,9 @@ class TestInvariants:
         (Op("Lam", (None, Hole(0))), "holes cannot appear in checked terms"),
         (Op("NoSuchTag", ()), "unknown operator 'NoSuchTag'"),
         (Op("App", (Free("f"),)), "App has 1 children, expected 2"),
+        (Op("App", (None, Free("a"))), "not a term: None"),
     ],
-    ids=["unbound-index", "hole", "unknown-tag", "child-count"],
+    ids=["unbound-index", "hole", "unknown-tag", "child-count", "missing-child"],
 )
 def test_malformed_terms_are_type_errors(term, message):
     with pytest.raises(TypeCheckError, match=re.escape(message)):

@@ -7,8 +7,8 @@ at each of ``SEEDS``, plus two batches of ``RANDOM_COMMANDS`` seeded random
 ``unify``/``infer``/``check``/``reduce`` commands in ``ulc``, ``stlc`` and
 ``mltt``: one under small budgets (``--fuel 60 --guess-fuel 12``), one under
 budgets that run out in every layer (``--reduce-fuel 1 --fuel 8
---guess-fuel 2``), then ``AST_COMMANDS`` seeded random ``reduce``/``infer``
-commands with ``--output ast``, then ``ERROR_COMMANDS`` seeded random
+--guess-fuel 2``), then ``AST_COMMANDS`` more such commands under the small
+budgets with ``--output ast``, then ``ERROR_COMMANDS`` seeded random
 ``reduce``/``infer`` commands whose term is written with the constructs of
 a language drawn independently of the one it runs in, so about a fifth of
 them end in an unknown-construct error.  Each tree runs every command in one child
@@ -168,19 +168,17 @@ def random_commands(
     return out
 
 
-def term_commands(
-    count: int, seed: int, label: str, options: tuple[str, ...] = (), *, mixed: bool = False
-) -> list[tuple[str, list[str], str | None]]:
-    """``reduce``/``infer`` commands; with ``mixed``, each term is written
-    in a language drawn independently of the one it runs in."""
+def mixed_commands(count: int, seed: int, label: str) -> list[tuple[str, list[str], str | None]]:
+    """``reduce``/``infer`` commands, each term written in a language drawn
+    independently of the one it runs in."""
     rng = random.Random(seed)
     out = []
     for i in range(count):
         lang = rng.choice(LANGS)
-        written_in = rng.choice(LANGS) if mixed else lang
+        written_in = rng.choice(LANGS)
         command = "reduce" if lang == "ulc" else rng.choice(("reduce", "infer"))
         expr = _term(rng, written_in, [], rng.randrange(1, 5))
-        out.append((f"{label}:{i}", ["--lang", lang, *BUDGETS, *options, command, expr], None))
+        out.append((f"{label}:{i}", ["--lang", lang, *BUDGETS, command, expr], None))
     return out
 
 
@@ -257,8 +255,8 @@ def main(argv: list[str] | None = None) -> int:
         corpus_commands(SEEDS)
         + random_commands(RANDOM_COMMANDS, RANDOM_SEED, BUDGETS, "random")
         + random_commands(RANDOM_COMMANDS, TINY_SEED, TINY_BUDGETS, "tiny")
-        + term_commands(AST_COMMANDS, AST_SEED, "ast", ("--output", "ast"))
-        + term_commands(ERROR_COMMANDS, ERROR_SEED, "errors", mixed=True)
+        + random_commands(AST_COMMANDS, AST_SEED, (*BUDGETS, "--output", "ast"), "ast")
+        + mixed_commands(ERROR_COMMANDS, ERROR_SEED, "errors")
     )
     base = run_tree(args.base.resolve(), commands)
     head = run_tree(args.head.resolve(), commands)
