@@ -240,8 +240,8 @@ def test_stuck_node_reads_a_scope_child_under_its_binder():
 
 
 def test_summed_languages_reduce_under_the_summed_signature():
-    # App2(Lam2(x. App(Lam(y. Lam2(z. x)), c)), d): the inner beta-step
-    # enters Lam's scope, yet x is still read through Lam2's closure
+    # App2(Lam2(x. App(Lam(y. Lam2(z. x)), c)), d): App's rule fires last,
+    # yet Lam2(z. x) is read back under the signature in which Lam2 binds
     first = make_signature("one", [("Lam", [SlotKind.SCOPE]), ("App", [SlotKind.TERM] * 2)])
     second = make_signature("two", [("Lam2", [SlotKind.SCOPE]), ("App2", [SlotKind.TERM] * 2)])
     sig = sum_signature(first, second)
