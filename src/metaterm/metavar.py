@@ -153,17 +153,23 @@ def extend_substs(
     mentions no old key, so a cycle can only run through added entries.
     """
     merged = dict(substs.entries)
-    added: list[str] = []
-    for name, abs_ in new.entries.items():
-        rewritten = MetaAbs(abs_.arity, apply_substs(sig, substs, abs_.body))
-        if name in merged:
-            if merged[name] != rewritten:
-                raise ConflictingEntry(f"conflicting entries for {name}")
-            continue
-        merged[name] = rewritten
-        added.append(name)
-    _check_acyclic({name: merged[name] for name in added}, added)
+    _add_entries(sig, merged, new)
     return MetaSubstitution._trusted(merged)
+
+
+def _add_entries(sig: Signature, entries: dict[str, MetaAbs], new: MetaSubstitution) -> None:
+    """Add ``new`` to the acyclic ``entries`` in place, as :func:`extend_substs`
+    composes.  A cycle raises :class:`ConflictingEntry` once they are added."""
+    current = MetaSubstitution._trusted(entries)  # read only before the update
+    added: dict[str, MetaAbs] = {}
+    for name, abs_ in new.entries.items():
+        abs_ = MetaAbs(abs_.arity, apply_substs(sig, current, abs_.body))
+        if name not in entries:
+            added[name] = abs_
+        elif entries[name] != abs_:
+            raise ConflictingEntry(f"conflicting entries for {name}")
+    entries.update(added)
+    _check_acyclic(added, added)
 
 
 def resolve_entries(

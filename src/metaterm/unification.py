@@ -37,6 +37,7 @@ from .metavar import (
     FreshSupply,
     MetaAbs,
     MetaSubstitution,
+    _add_entries,
     apply_substs,
     extend_substs,
     metas_of,
@@ -380,7 +381,7 @@ def candidates(lang, c: Constraint, supply: FreshSupply) -> Iterator[MetaAbs]:
 
 @dataclass
 class _ChoicePoint:
-    substs: MetaSubstitution
+    size: int  # the path's entries when the point was opened
     constraints: list[Constraint]
     meta: str
     options: Iterator[MetaAbs | MetaSubstitution]
@@ -415,10 +416,14 @@ def unify(
     unit of ``cfg.fuel``.  The entries of ``substs`` come back as given;
     each entry the search adds is resolved (mentions no metavariable with
     an entry).  Raises :class:`UnificationFailed` when every branch
-    clashes and :class:`Undetermined` when a budget runs out first.  Choice
-    points snapshot the immutable state, so branches never share it.
+    clashes and :class:`Undetermined` when a budget runs out first.  The
+    current branch's entries live in one insertion-ordered dict, the path,
+    used as a trail: a choice point keeps the path's length, and taking its
+    next option first drops every entry added since, then adds the option
+    in place.  Each round reads the path through a fresh view.
     """
     cs, s = list(constraints), substs
+    path = dict(substs.entries)
     supply = supply or _supply_avoiding(s, cs)
     attempts = 0
     stack: list[_ChoicePoint] = []
@@ -426,15 +431,17 @@ def unify(
     while True:
         clash = None
         try:
-            cs, s = simplify_all(lang, cs, s, cfg, supply)
+            cs, guessed = simplify_all(lang, cs, s, cfg, supply)
         except Clash as exc:
             clash = exc
         if clash is None:
+            if guessed is not s:  # the guesses come after the path's entries
+                s, path = guessed, dict(guessed.entries)
             flex_rigid = [c for c in cs if classify(c) is ConstraintClass.FLEX_RIGID]
             if not flex_rigid:
                 added = [name for name in s.entries if name not in substs]
                 return Solution(resolve_entries(lang.signature, s, added), tuple(cs))
-            stack.append(_ChoicePoint(s, cs, *_options(lang, flex_rigid, supply)))
+            stack.append(_ChoicePoint(len(path), cs, *_options(lang, flex_rigid, supply)))
 
         # Take the next untried option, backtracking as needed.
         while True:
@@ -454,11 +461,13 @@ def unify(
                 raise Undetermined(f"candidate budget ({cfg.fuel}) exhausted")
             if type(option) is MetaAbs:  # a candidate for the point's metavariable
                 option = MetaSubstitution({point.meta: option})
+            while len(path) > point.size:
+                path.popitem()
             try:
-                s = extend_substs(lang.signature, point.substs, option)
+                _add_entries(lang.signature, path, option)
             except ConflictingEntry:
                 continue
-            cs = point.constraints
+            s, cs = MetaSubstitution._trusted(path), point.constraints
             break
 
 

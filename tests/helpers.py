@@ -3,13 +3,29 @@
 from __future__ import annotations
 
 import dataclasses
+from operator import length_hint
 from types import SimpleNamespace
 
-from metaterm.metavar import FreshSupply, MetaSubstitution, metas_of
+from metaterm.metavar import (
+    ConflictingEntry,
+    FreshSupply,
+    MetaAbs,
+    MetaSubstitution,
+    extend_substs,
+    metas_of,
+    resolve_entries,
+)
+from metaterm.reduction import Undetermined
 from metaterm.unification import (
+    Clash,
     Constraint,
+    ConstraintClass,
     SearchConfig,
     Solution,
+    UnificationFailed,
+    _options,
+    _supply_avoiding,
+    classify,
     simplify_all,
     unify,
     verify_solution,
@@ -54,3 +70,50 @@ def solve_checked(
         f"reapplied solution does not simplify away: {solution}"
     )
     return solution
+
+
+def copying_unify(lang, substs, constraints, cfg=SearchConfig(), supply=None) -> Solution:
+    """``unify`` with a full copy of the substitution at every choice point
+    (``extend_substs`` per option taken), no trail: the reference for the
+    trail's backtracking."""
+    cs, s = list(constraints), substs
+    supply = supply or _supply_avoiding(s, cs)
+    attempts = 0
+    stack: list[tuple] = []  # (substs, constraints, meta, options)
+
+    while True:
+        clash = None
+        try:
+            cs, s = simplify_all(lang, cs, s, cfg, supply)
+        except Clash as exc:
+            clash = exc
+        if clash is None:
+            flex_rigid = [c for c in cs if classify(c) is ConstraintClass.FLEX_RIGID]
+            if not flex_rigid:
+                added = [name for name in s.entries if name not in substs]
+                return Solution(resolve_entries(lang.signature, s, added), tuple(cs))
+            stack.append((s, cs, *_options(lang, flex_rigid, supply)))
+
+        while True:
+            if not stack:
+                raise clash or UnificationFailed("all candidates exhausted")
+            point_substs, point_cs, meta, options = stack[-1]
+            option = next(options, None)
+            if option is None:
+                stack.pop()
+                if clash is None:
+                    clash = UnificationFailed(f"no candidate solves ?{meta}")
+                continue
+            if not length_hint(options, 1):
+                stack.pop()
+            attempts += 1
+            if attempts > cfg.fuel:
+                raise Undetermined(f"candidate budget ({cfg.fuel}) exhausted")
+            if type(option) is MetaAbs:
+                option = MetaSubstitution({meta: option})
+            try:
+                s = extend_substs(lang.signature, point_substs, option)
+            except ConflictingEntry:
+                continue
+            cs = point_cs
+            break

@@ -1,4 +1,4 @@
-"""Hypothesis generators for well-scoped terms of a given signature."""
+"""Hypothesis generators for well-scoped terms and constraints of a given signature."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from metaterm.signature import INF_UNIVERSE_TAG, Signature, SlotKind, make_signature
 from metaterm.terms import Bound, Free, MetaApp, Op, Term
+from metaterm.unification import Constraint
 
 FREE_NAMES = ("a", "b", "c")
 META_NAMES = ("m", "n")
@@ -107,3 +108,21 @@ def redex_terms(
             return op(proj.capitalize(), op("Pair"))
         case _:
             return op("J", *(draw(sub(smaller=2)) for _ in range(5)), op("Refl"))
+
+
+@st.composite
+def problems(draw, sig: Signature, size: int = 3) -> list[Constraint]:
+    """One to four constraints of ``sig``, each under up to two universal
+    binders, whose right sides are :func:`redex_terms` and whose left
+    sides are mostly metavariable applications, so the search has
+    flex-rigid work.  Each metavariable is applied to one number of
+    arguments throughout."""
+    arity = {name: draw(st.integers(0, 2)) for name in META_NAMES}
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, 2))
+        name = draw(st.sampled_from(META_NAMES))
+        args = draw(st.lists(terms(sig, k, 0), min_size=arity[name], max_size=arity[name]))
+        lhs = MetaApp(name, tuple(args)) if draw(st.integers(0, 3)) else draw(redex_terms(sig, k, size))
+        out.append(Constraint(lhs, draw(redex_terms(sig, k, size)), k))
+    return out
