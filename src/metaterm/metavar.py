@@ -136,7 +136,7 @@ def apply_substs(sig: Signature, substs: MetaSubstitution, term: Term) -> Term:
                 raise ArityMismatch(
                     f"{t.meta} applied to {len(t.args)} arguments, entry has arity {entry.arity}"
                 )
-            t = instantiate_many(sig, t.args, entry.body)
+            t = instantiate_many(sig, t.args, entry.body) if t.args else entry.body
         return t
 
     return rebuild(term, enter=resolve, memo=substs._memo[1])
@@ -163,7 +163,8 @@ def _add_entries(sig: Signature, entries: dict[str, MetaAbs], new: MetaSubstitut
     current = MetaSubstitution._trusted(entries)  # read only before the update
     added: dict[str, MetaAbs] = {}
     for name, abs_ in new.entries.items():
-        abs_ = MetaAbs(abs_.arity, apply_substs(sig, current, abs_.body))
+        if not entries.keys().isdisjoint(abs_.metas):
+            abs_ = MetaAbs(abs_.arity, apply_substs(sig, current, abs_.body))
         if name not in entries:
             added[name] = abs_
         elif entries[name] != abs_:
@@ -181,7 +182,7 @@ def resolve_entries(
     entries = dict(substs.entries)
     for name in names:
         entry = entries[name]
-        if not entry.metas.isdisjoint(entries):
+        if not entries.keys().isdisjoint(entry.metas):
             entries[name] = MetaAbs(entry.arity, apply_substs(sig, substs, entry.body))
     return MetaSubstitution._trusted(entries)
 

@@ -187,26 +187,33 @@ def simplify_all(
     :class:`Undetermined` when the guess or head-step budget runs out.
     """
     sig = lang.signature
-    queue: deque[Constraint] = deque(constraints)
+    # Each constraint with the substitution its sides were read under, if any.
+    queue: deque[tuple[Constraint, MetaSubstitution | None]] = deque((c, None) for c in constraints)
     done: list[Constraint] = []
     guess_budget = cfg.guess_fuel
 
     while queue:
-        c = queue.popleft()
-        lhs = reduce(sig, apply_substs(sig, substs, c.lhs), lang.reducer, cfg.reduce_fuel)
-        rhs = reduce(sig, apply_substs(sig, substs, c.rhs), lang.reducer, cfg.reduce_fuel)
+        c, read = queue.popleft()
+        # A side read under substs mentions no key; unless it reduces, its
+        # parent's scan for guesses covered it.
+        lhs = c.lhs if read is substs else apply_substs(sig, substs, c.lhs)
+        lhs = reduce(sig, lhs, lang.reducer, cfg.reduce_fuel)
+        rhs = c.rhs if read is substs else apply_substs(sig, substs, c.rhs)
+        rhs = reduce(sig, rhs, lang.reducer, cfg.reduce_fuel)
 
         guesses: dict[str, MetaAbs] = {}
-        _collect_guesses(lang, lhs, supply, guesses)
-        _collect_guesses(lang, rhs, supply, guesses)
+        if read is not substs or lhs is not c.lhs:
+            _collect_guesses(lang, lhs, supply, guesses)
+        if read is not substs or rhs is not c.rhs:
+            _collect_guesses(lang, rhs, supply, guesses)
         if guesses:
             guess_budget -= 1
             if guess_budget < 0:
                 raise Undetermined("guess budget exhausted during simplification")
             substs = extend_substs(sig, substs, MetaSubstitution(guesses))
             # Everything already simplified may mention the guessed metas.
-            queue.appendleft(Constraint(lhs, rhs, c.binders, c.binder_names))
-            queue.extend(done)
+            queue.appendleft((Constraint(lhs, rhs, c.binders, c.binder_names), None))
+            queue.extend((d, None) for d in done)
             done.clear()
             continue
 
@@ -226,7 +233,7 @@ def simplify_all(
             raise Clash(c)
         _, slots = matched
         for kind, lc, rc in slots:
-            queue.append(Constraint(lc, rc, c.binders + (kind is SlotKind.SCOPE), c.binder_names))
+            queue.append((Constraint(lc, rc, c.binders + (kind is SlotKind.SCOPE), c.binder_names), substs))
 
     return done, substs
 

@@ -89,6 +89,18 @@ class TestApply:
         out = apply_substs(SIG, s, MetaApp("n", (MetaApp("m"),)))
         assert out == MetaApp("n", (Free("x"),))
 
+    def test_nullary_entry_is_its_body(self, monkeypatch):
+        monkeypatch.setattr(metavar, "instantiate_many", None)  # an arity-0 body has no holes
+        body = app(Free("f"), MetaApp("n", (Bound(0),)))
+        s = MetaSubstitution({"m": MetaAbs(0, body)})
+        assert apply_substs(SIG, s, lam(MetaApp("m"))).children[0] is body
+
+    def test_extension_keeps_a_body_that_mentions_no_key(self):
+        s = MetaSubstitution({"m": MetaAbs(0, Free("a"))})
+        kept, rewritten = MetaAbs(1, app(Hole(0), MetaApp("n"))), MetaAbs(0, MetaApp("m"))
+        out = extend_substs(SIG, s, MetaSubstitution({"k": kept, "r": rewritten}))
+        assert out.get("k") is kept and out.get("r") == MetaAbs(0, Free("a"))
+
     def test_chain_resolution(self):
         s = MetaSubstitution(
             {"m": MetaAbs(0, app(Free("f"), MetaApp("n"))), "n": MetaAbs(0, Free("a"))}

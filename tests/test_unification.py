@@ -572,6 +572,21 @@ def test_trail_agrees_with_a_copy_per_choice_point(data):
     assert _outcome(unify, lang, problem) == _outcome(copying_unify, lang, problem)
 
 
+def test_simplify_reads_a_rigid_spine_once():
+    """The children of a decomposed node were read under the current
+    substitution: only the root's two sides are applied (202 calls when
+    every child was applied again)."""
+    lhs, rhs = MetaApp("m"), Free("d")
+    for i in range(50):
+        lhs = Op("App", (Free(f"f{i}"), lhs))
+        rhs = Op("App", (Free(f"f{i}"), rhs))
+    substs = MetaSubstitution({"k": MetaAbs(0, Free("e"))})
+    with mock.patch.object(unification, "apply_substs", wraps=apply_substs) as spy:
+        done, _ = simplify_all(ulc, [Constraint(lhs, rhs)], substs, SearchConfig(), FreshSupply())
+    assert done == [Constraint(MetaApp("m"), Free("d"), 0)]
+    assert spy.call_count <= 2
+
+
 def test_search_memory_grows_linearly_with_fuel():
     """``?m[] =?= c ?m[]`` opens a choice point per unit of fuel; holding a
     copy of the entries at each one made the peak quadratic (x3.0 from
