@@ -517,8 +517,15 @@ def print_term(
 
 
 def print_constraint(lang, c: Constraint) -> str:
-    given = c.binder_names + ("",) * c.binders  # a binder without a name is x<i+1>
-    names = tuple(given[i] or f"x{i + 1}" for i in range(c.binders))
+    names = [*c.binder_names[: c.binders], *("",) * (c.binders - len(c.binder_names))]
+    if "" in names:  # binder i without a name: the first x<k>, k > i, no other name
+        taken = {*names, *free_names(c.lhs), *free_names(c.rhs)}
+        for i in range(c.binders):
+            k = i + 1
+            while not names[i]:
+                names[i] = "" if f"x{k}" in taken else f"x{k}"
+                k += 1
+            taken.add(names[i])
     body = (
         f"{print_term(lang, c.lhs, binder_names=names)}"
         f" =?= {print_term(lang, c.rhs, binder_names=names)}"

@@ -69,13 +69,14 @@ class Constraint:
 
     Both sides are well-scoped at depth ``binders``; solutions must not
     mention the universally bound variables.  ``binder_names`` are display
-    names, outermost first; the printer calls a binder past them ``x<i+1>``.
+    names, outermost first, that ``==`` ignores; the printer names a binder
+    past them ``x<k>``, the first ``k > i`` that clashes with no other name.
     """
 
     lhs: Term
     rhs: Term
     binders: int = 0
-    binder_names: tuple[str, ...] = ()
+    binder_names: tuple[str, ...] = field(default=(), compare=False)
 
     def __repr__(self) -> str:  # the text of str(Clash) and str(UnificationFailure)
         q = f"forall^{self.binders}. " if self.binders else ""

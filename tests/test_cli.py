@@ -93,6 +93,12 @@ class TestUnify:
         assert code == EXIT_OK
         assert out.strip() == "?m1[] =?= ?m2[]"
 
+    def test_residuals_equal_up_to_binder_names_print_once(self, capsys, monkeypatch):
+        stdin = "forall x. ?m[x] =?= ?n[x]\nforall y. ?m[y] =?= ?n[y]\n"
+        code, out, _ = run(["unify"], capsys, stdin=stdin, monkeypatch=monkeypatch)
+        assert code == EXIT_OK
+        assert out.splitlines() == ["forall x. ?m[x] =?= ?n[x]"]
+
     def test_clash_exits_1(self, capsys, monkeypatch):
         code, _, err = run(
             ["unify"], capsys, stdin="f a =?= g a\n", monkeypatch=monkeypatch

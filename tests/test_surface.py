@@ -20,7 +20,7 @@ from metaterm.terms import Bound, Free, Hole, MetaApp, Op
 from metaterm.typecheck import TypeChecker, TypeCheckError
 from metaterm.unification import Constraint, Undetermined
 
-from helpers import dataclass_repr
+from helpers import dataclass_repr, simplify
 from strategies import signatures, terms
 
 ulc = LANGUAGES["ulc"]
@@ -276,6 +276,14 @@ class TestConstraints:
         assert print_constraint(ulc, c) == "forall x1 x2. ?m[x1] =?= x2"
         c = Constraint(MetaApp("m", (Bound(1),)), Bound(0), 2, ("y",))
         assert print_constraint(ulc, c) == "forall y x2. ?m[y] =?= x2"
+
+    def test_unnamed_binders_avoid_given_and_free_names(self):
+        c = Constraint(MetaApp("m", (Bound(1),)), Free("x2"), 2, ("x3",))
+        assert print_constraint(ulc, c) == "forall x3 x4. ?m[x3] =?= x2"
+        (residual,), _ = simplify(ulc, parse_constraint(r"forall x2. \z. ?n[x2, z] =?= \z. ?p[z, x2]", ulc))
+        printed = print_constraint(ulc, residual)
+        assert printed == "forall x2 x3. ?n[x2, x3] =?= ?p[x3, x2]"
+        assert parse_constraint(printed, ulc) == residual
 
     def test_forall_introduces_binders(self):
         c = parse_constraint("forall x y. ?m[x] =?= y", ulc)
