@@ -2,7 +2,7 @@
 
     python tools/scaling.py [--tree DIR] [--repeats N]
 
-Runs seven families in process:
+Runs eight families in process:
 
 - ``TypeChecker.infer`` on the STLC apply-chain
   ``\\f. \\a1. … \\an. f a1 … an`` at n = ``CHAIN_SIZES``;
@@ -19,9 +19,12 @@ Runs seven families in process:
   (``guess_fuel`` 12), at the candidate budgets ``SELFAPP_FUEL``;
 - ``TypeChecker.infer`` on the MLTT J chain
   ``J(?m[\\x. first x], a, a, c, b, a)``, at the candidate budgets
-  ``JCHAIN_FUEL``.
+  ``JCHAIN_FUEL``;
+- ``unify`` on the ULC occurs chain ``?m[] =?= c ?m[]``, which opens a
+  choice point for every second candidate and keeps them all open, at the
+  candidate budgets ``FUELCHAIN_FUEL``.
 
-The last two are searches that go down one branch until the budget runs
+The last three are searches that go down one branch until the budget runs
 out; their size is the budget.
 
 For each size it prints the median CPU time of ``--repeats`` plain runs,
@@ -33,9 +36,11 @@ visited, plus one per node rebuilt or whose range is computed); for the
 table; for the inference families ``apply_substs`` calls, operator
 nodes and metavariable applications built (every ``Op`` and ``MetaApp``
 constructed), and the nodes of the result, distinct by identity and as a
-tree; and for the search families ``apply_substs`` calls.  The last line
-is one JSON object with the same rows and, per family, the least-squares
-log-log slopes of time and of ``walk_pops`` over all its sizes.
+tree; for the self-application and J chain ``apply_substs`` calls; and
+for the occurs chain, instead of the counters, ``peak_kb``, the peak of
+the memory ``tracemalloc`` traces in one more run.  The last line is one
+JSON object with the same rows and, per family, the least-squares log-log
+slopes of time and of ``walk_pops`` or ``peak_kb`` over all its sizes.
 
 ``--tree`` imports metaterm from ``DIR/src`` (default: this checkout), so
 two source trees can be compared.  Not part of the test suite.
@@ -52,6 +57,7 @@ import math
 import re
 import statistics
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 from time import process_time
@@ -64,6 +70,7 @@ ARROWS = (250, 500, 1000, 2000)
 TELESCOPE = (500, 1000, 2000, 4000)
 SELFAPP_FUEL = (20, 30, 40, 50)
 JCHAIN_FUEL = (25, 50, 100, 200)
+FUELCHAIN_FUEL = (250, 500, 1000, 2000)
 
 
 def apply_chain(n: int) -> str:
@@ -286,8 +293,17 @@ def j_chain(fuel: int):
     return lambda: TypeChecker(mltt, SearchConfig(fuel=fuel)).infer(term)
 
 
-def search_row(search, repeats: int) -> dict:
-    """A search that must end with its candidate budget spent."""
+def fuel_chain(fuel: int):
+    from metaterm import LANGUAGES, MetaSubstitution, SearchConfig, parse_constraint, unify
+
+    ulc = LANGUAGES["ulc"]
+    problem = [parse_constraint("?m[] =?= c ?m[]", ulc)]
+    return lambda: unify(ulc, MetaSubstitution(), problem, SearchConfig(fuel=fuel))
+
+
+def exhausted(search, repeats: int):
+    """The median CPU ms of ``repeats`` runs of a search that must end with
+    its candidate budget spent, and one more run of it."""
     from metaterm import Undetermined
 
     def once():
@@ -302,10 +318,25 @@ def search_row(search, repeats: int) -> dict:
         start = process_time()
         once()
         times.append(process_time() - start)
+    return round(1000 * statistics.median(times), 2), once
+
+
+def search_row(search, repeats: int) -> dict:
+    ms, once = exhausted(search, repeats)
     with Counters() as counters, WalkCounter() as walks:
         once()
-    ms = round(1000 * statistics.median(times), 2)
     return {"ms": ms, "walk_pops": walks.pops, "apply_substs_calls": counters.apply_substs}
+
+
+def peak_row(search, repeats: int) -> dict:
+    ms, once = exhausted(search, repeats)
+    tracemalloc.start()
+    try:
+        once()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"ms": ms, "peak_kb": round(peak / 1024)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -326,13 +357,15 @@ def main(argv: list[str] | None = None) -> int:
         ("telescope", lambda n: reduce_row("mltt", telescope(n), args.repeats), TELESCOPE),
         ("selfapp", lambda n: search_row(self_application(n), args.repeats), SELFAPP_FUEL),
         ("jchain", lambda n: search_row(j_chain(n), args.repeats), JCHAIN_FUEL),
+        ("fuelchain", lambda n: peak_row(fuel_chain(n), args.repeats), FUELCHAIN_FUEL),
     ):
         rows = []
         for size in sizes:
             row = {"size": size, **row_of(size)}
             rows.append(row)
             print(family, " ".join(f"{key}={value}" for key, value in row.items()), flush=True)
-        slopes = {f"slope_{key}": slope(rows, key) for key in ("ms", "walk_pops")}
+        keys = [key for key in ("ms", "walk_pops", "peak_kb") if key in rows[0]]
+        slopes = {f"slope_{key}": slope(rows, key) for key in keys}
         slopes = {key: value if value is None else round(value, 3) for key, value in slopes.items()}
         print(family, " ".join(f"{key}={value}" for key, value in slopes.items()), flush=True)
         report[family] = {"rows": rows, **slopes}
