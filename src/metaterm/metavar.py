@@ -159,7 +159,8 @@ def extend_substs(
 
 def _add_entries(sig: Signature, entries: dict[str, MetaAbs], new: MetaSubstitution) -> None:
     """Add ``new`` to the acyclic ``entries`` in place, as :func:`extend_substs`
-    composes.  A cycle raises :class:`ConflictingEntry` once they are added."""
+    composes.  A conflict raises :class:`ConflictingEntry` before anything is
+    added, a cycle after."""
     current = MetaSubstitution._trusted(entries)  # read only before the update
     added: dict[str, MetaAbs] = {}
     for name, abs_ in new.entries.items():

@@ -30,6 +30,7 @@ Constraints:   ('forall' name+ '.')* term '=?=' term
 from __future__ import annotations
 
 import re
+from itertools import count
 from typing import NamedTuple
 
 from .metavar import MetaAbs
@@ -520,12 +521,10 @@ def print_constraint(lang, c: Constraint) -> str:
     names = [*c.binder_names[: c.binders], *("",) * (c.binders - len(c.binder_names))]
     if "" in names:  # binder i without a name: the first x<k>, k > i, no other name
         taken = {*names, *free_names(c.lhs), *free_names(c.rhs)}
-        for i in range(c.binders):
-            k = i + 1
-            while not names[i]:
-                names[i] = "" if f"x{k}" in taken else f"x{k}"
-                k += 1
-            taken.add(names[i])
+        for i, name in enumerate(names):
+            if not name:
+                names[i] = next(f"x{k}" for k in count(i + 1) if f"x{k}" not in taken)
+                taken.add(names[i])
     body = (
         f"{print_term(lang, c.lhs, binder_names=names)}"
         f" =?= {print_term(lang, c.rhs, binder_names=names)}"

@@ -189,7 +189,8 @@ def simplify_all(
     """
     sig = lang.signature
     # Each constraint with the substitution its sides were read under, if any.
-    queue: deque[tuple[Constraint, MetaSubstitution | None]] = deque((c, None) for c in constraints)
+    queue: deque[tuple[Constraint, MetaSubstitution | None]]
+    queue = deque((c, None) for c in constraints)
     done: list[Constraint] = []
     guess_budget = cfg.guess_fuel
 
@@ -234,7 +235,8 @@ def simplify_all(
             raise Clash(c)
         _, slots = matched
         for kind, lc, rc in slots:
-            queue.append((Constraint(lc, rc, c.binders + (kind is SlotKind.SCOPE), c.binder_names), substs))
+            child = Constraint(lc, rc, c.binders + (kind is SlotKind.SCOPE), c.binder_names)
+            queue.append((child, substs))
 
     return done, substs
 
@@ -389,7 +391,7 @@ def candidates(lang, c: Constraint, supply: FreshSupply) -> Iterator[MetaAbs]:
 
 @dataclass
 class _ChoicePoint:
-    size: int  # the path's entries when the point was opened
+    size: int  # how many entries the path held when the point was opened
     constraints: list[Constraint]
     meta: str
     options: Iterator[MetaAbs | MetaSubstitution]
