@@ -123,6 +123,7 @@ def problems(draw, sig: Signature, size: int = 3) -> list[Constraint]:
         k = draw(st.integers(0, 2))
         name = draw(st.sampled_from(META_NAMES))
         args = draw(st.lists(terms(sig, k, 0), min_size=arity[name], max_size=arity[name]))
-        lhs = MetaApp(name, tuple(args)) if draw(st.integers(0, 3)) else draw(redex_terms(sig, k, size))
+        flex = draw(st.integers(0, 3)) > 0
+        lhs = MetaApp(name, tuple(args)) if flex else draw(redex_terms(sig, k, size))
         out.append(Constraint(lhs, draw(redex_terms(sig, k, size)), k))
     return out

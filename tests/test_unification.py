@@ -588,9 +588,10 @@ def test_simplify_reads_a_rigid_spine_once():
 
 
 def test_search_memory_grows_linearly_with_fuel():
-    """``?m[] =?= c ?m[]`` opens a choice point per unit of fuel; holding a
-    copy of the entries at each one made the peak quadratic (x3.0 from
-    fuel 400 to 800, where the trail gives about x2)."""
+    """``?m[] =?= c ?m[]`` opens a choice point for every second candidate
+    and keeps them all open; a copy of the entries at each one made the
+    peak quadratic (x3.0 from fuel 400 to 800, where the trail gives
+    about x2)."""
     problem = [cstr("?m[] =?= c ?m[]")]
 
     def peak(fuel: int) -> int:
