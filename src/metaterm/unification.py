@@ -21,7 +21,8 @@ unit per branch taken, inversions included, turns non-termination into an
 explicit "undetermined" outcome, distinct from definite failure
 (:class:`UnificationFailed`).  Every exhausted budget, the reducer's head
 steps included, raises :class:`Undetermined` (re-exported from
-:mod:`metaterm.reduction`) unchanged.
+:mod:`metaterm.reduction`) unchanged; a branch back at a variant of a
+candidate point (loop checking, Bol, Apt & Klop 1991) raises it at once.
 """
 
 from __future__ import annotations
@@ -392,17 +393,45 @@ def candidates(lang, c: Constraint, supply: FreshSupply) -> Iterator[MetaAbs]:
 @dataclass
 class _ChoicePoint:
     size: int  # how many entries the path held when the point was opened
+    height: int  # how many variant keys the branch held, the point's own included
     constraints: list[Constraint]
     meta: str
     options: Iterator[MetaAbs | MetaSubstitution]
 
 
 def _options(lang, flex_rigid: list[Constraint], supply: FreshSupply):
-    """The metavariable a choice point solves, and its options."""
+    """The metavariable a choice point solves, its options, and whether they are candidates."""
     for c in flex_rigid:
         if (solved := invert(lang, c, supply)) is not None:
-            return c.lhs.meta, iter((solved,))
-    return flex_rigid[0].lhs.meta, candidates(lang, flex_rigid[0], supply)
+            return c.lhs.meta, iter((solved,)), False
+    return flex_rigid[0].lhs.meta, candidates(lang, flex_rigid[0], supply), True
+
+
+def _variant_key(constraints: list[Constraint]) -> tuple:
+    """``constraints`` up to a renaming of metavariables, as one flat tuple:
+    per constraint its binders, then both sides in pre-order, each node as
+    its head (tag, or metavariable numbered by first occurrence) and child
+    count before its children (an operator's annotation last, ``None`` when
+    absent).  A node met again by identity copies its first encoding."""
+    key: list = []
+    rank: dict[str, int] = {}  # metavariable -> its number by first occurrence
+    spans: dict[int, slice] = {}  # id of a node walked -> its encoding in key
+    for c in constraints:
+        key.append(c.binders)
+        todo: list = [c.rhs, c.lhs]
+        while todo:
+            t = todo.pop()
+            if type(t) is tuple:  # the end of a node's encoding
+                spans[id(t[0])] = slice(t[1], len(key))
+            elif type(t) is not Op and type(t) is not MetaApp:
+                key.append(t)  # a leaf, or None: its dataclass hash and == are flat
+            elif id(t) in spans:
+                key += key[spans[id(t)]]
+            else:
+                kids = (*t.children, t.ann) if type(t) is Op else t.args
+                todo += ((t, len(key)), *reversed(kids))
+                key += (t.tag if type(t) is Op else rank.setdefault(t.meta, len(rank)), len(kids))
+    return tuple(key)
 
 
 def _supply_avoiding(substs: MetaSubstitution, constraints: Iterable[Constraint]) -> FreshSupply:
@@ -430,10 +459,14 @@ def unify(
     current branch's entries live in one insertion-ordered dict, the path,
     used as a trail: a choice point keeps the path's length, and taking its
     next option first drops every entry added since, then adds the option
-    in place.  Each round reads the path through a fresh view.
+    in place.  Each round reads the path through a fresh view.  A second
+    trail keeps the variant keys of the branch's candidate points: below a
+    point all depends only on its constraints up to renaming, so meeting a
+    key again raises the candidate budget's :class:`Undetermined` at once.
     """
     cs, s = list(constraints), substs
     path = dict(substs.entries)
+    keys: dict[tuple, int] = {}  # the candidate points' variant keys, as a trail
     supply = supply or _supply_avoiding(s, cs)
     attempts = 0
     stack: list[_ChoicePoint] = []
@@ -451,7 +484,12 @@ def unify(
             if not flex_rigid:
                 added = [name for name in s.entries if name not in substs]
                 return Solution(resolve_entries(lang.signature, s, added), tuple(cs))
-            stack.append(_ChoicePoint(len(path), cs, *_options(lang, flex_rigid, supply)))
+            meta, options, branching = _options(lang, flex_rigid, supply)
+            if branching:
+                n = len(keys)
+                if keys.setdefault(_variant_key(cs), n) != n:  # back at a renamed ancestor
+                    raise Undetermined(f"candidate budget ({cfg.fuel}) exhausted")
+            stack.append(_ChoicePoint(len(path), len(keys), cs, meta, options))
 
         # Take the next untried option, backtracking as needed.
         while True:
@@ -473,6 +511,8 @@ def unify(
                 option = MetaSubstitution({point.meta: option})
             while len(path) > point.size:
                 path.popitem()
+            while len(keys) > point.height:
+                keys.popitem()
             try:
                 _add_entries(lang.signature, path, option)
             except ConflictingEntry:

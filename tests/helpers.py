@@ -74,8 +74,8 @@ def solve_checked(
 
 def copying_unify(lang, substs, constraints, cfg=SearchConfig(), supply=None) -> Solution:
     """``unify`` with a full copy of the substitution at every choice point
-    (``extend_substs`` per option taken), no trail: the reference for the
-    trail's backtracking."""
+    (``extend_substs`` per option taken), no trail and no variant check: the
+    reference for the trail's backtracking and for the check's outcomes."""
     cs, s = list(constraints), substs
     supply = supply or _supply_avoiding(s, cs)
     attempts = 0
@@ -92,7 +92,7 @@ def copying_unify(lang, substs, constraints, cfg=SearchConfig(), supply=None) ->
             if not flex_rigid:
                 added = [name for name in s.entries if name not in substs]
                 return Solution(resolve_entries(lang.signature, s, added), tuple(cs))
-            stack.append((s, cs, *_options(lang, flex_rigid, supply)))
+            stack.append((s, cs, *_options(lang, flex_rigid, supply)[:2]))
 
         while True:
             if not stack:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from metaterm.signature import INF_UNIVERSE_TAG, Signature, SlotKind, make_signature
-from metaterm.terms import Bound, Free, MetaApp, Op, Term
+from metaterm.terms import Bound, Free, MetaApp, Op, Term, weaken
 from metaterm.unification import Constraint
 
 FREE_NAMES = ("a", "b", "c")
@@ -127,3 +127,31 @@ def problems(draw, sig: Signature, size: int = 3) -> list[Constraint]:
         lhs = MetaApp(name, tuple(args)) if flex else draw(redex_terms(sig, k, size))
         out.append(Constraint(lhs, draw(redex_terms(sig, k, size)), k))
     return out
+
+
+@st.composite
+def occurs_problems(draw, sig: Signature, size: int = 3) -> list[Constraint]:
+    """``?m[xs] =?= C[?m[xs]]`` under up to two universal binders: ``xs``
+    are distinct bound variables and ``C`` is one to ``size`` operator
+    nodes around the flex side, their other children random terms without
+    metavariables."""
+    k = draw(st.integers(0, 2))
+    xs = draw(st.lists(st.integers(0, k - 1), unique=True, max_size=k)) if k else []
+    flex = MetaApp("m", tuple(Bound(i) for i in xs))
+    tags = sorted(t for t, op in sig.operators.items() if t != INF_UNIVERSE_TAG and op.slots)
+    rhs: Term = flex
+    for _ in range(draw(st.integers(1, size))):
+        tag = draw(st.sampled_from(tags))
+        slots = sig.operators[tag].slots
+        at = draw(st.integers(0, len(slots) - 1))
+        children: list[Term | None] = []
+        for i, kind in enumerate(slots):
+            scoped = kind is SlotKind.SCOPE
+            if i == at:
+                children.append(weaken(sig, rhs, 1) if scoped else rhs)
+            elif kind is SlotKind.OPT_TERM and draw(st.booleans()):
+                children.append(None)
+            else:
+                children.append(draw(terms(sig, k + scoped, 1, with_metas=False)))
+        rhs = Op(tag, tuple(children))
+    return [Constraint(flex, rhs, k)]

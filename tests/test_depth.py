@@ -33,7 +33,7 @@ from metaterm import (
     reduce,
     unify,
 )
-from metaterm.unification import Clash
+from metaterm.unification import Clash, Constraint, _variant_key
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SCALING = SRC.parent / "tools" / "scaling.py"
@@ -166,6 +166,23 @@ def test_equality_of_deep_terms():
 
     assert tower("x") == tower("x")
     assert tower("x") != tower("y")
+
+
+def test_variant_key_of_a_deep_constraint():
+    """A search state's variant key is one flat tuple: building, hashing and
+    comparing it need no deep stack."""
+
+    def nest(leaf: str) -> Op:
+        term = MetaApp(leaf)
+        for _ in range(5000):
+            term = MetaApp("m", (Op("App", (Free("f"), term)),))
+        return term
+
+    def key(leaf: str) -> tuple:
+        return _variant_key([Constraint(MetaApp("m"), nest(leaf))])
+
+    assert hash(key("n")) == hash(key("p"))
+    assert key("n") == key("p") != key("m")
 
 
 def test_repr_of_deep_terms():

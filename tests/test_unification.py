@@ -16,7 +16,7 @@ from metaterm.metavar import FreshSupply, MetaAbs, MetaSubstitution, apply_subst
 from metaterm.reduction import Rule, normal_form
 from metaterm.signature import SignatureError, SlotKind, annotate_signature, make_signature
 from metaterm.syntax import parse_constraint, parse_term, print_entry
-from metaterm.terms import Bound, Free, Hole, MetaApp, Op, rebuild
+from metaterm.terms import Bound, Free, Hole, MetaApp, Op, rebuild, subterms
 from metaterm.unification import (
     Clash,
     Constraint,
@@ -34,7 +34,7 @@ from metaterm.unification import (
 )
 
 from helpers import bare_language, copying_unify, simplify, solve_checked
-from strategies import problems
+from strategies import occurs_problems, problems
 
 ulc = LANGUAGES["ulc"]
 stlc = LANGUAGES["stlc"]
@@ -588,10 +588,11 @@ def test_simplify_reads_a_rigid_spine_once():
 
 
 def test_search_memory_grows_linearly_with_fuel():
-    """``?m[] =?= c ?m[]`` opens a choice point for every second candidate
-    and keeps them all open; a copy of the entries at each one made the
-    peak quadratic (x3.0 from fuel 400 to 800, where the trail gives
-    about x2)."""
+    """``?m[] =?= c ?m[]`` comes back to its first candidate point, renamed,
+    after two candidates at any budget, and the variant check ends it there,
+    so its peak stays flat.  Without the check it kept a choice point open
+    per second candidate: the peak grew x2 from fuel 400 to 800 with the
+    trail and x3.0 with a copy of the entries at each point."""
     problem = [cstr("?m[] =?= c ?m[]")]
 
     def peak(fuel: int) -> int:
@@ -604,4 +605,89 @@ def test_search_memory_grows_linearly_with_fuel():
         finally:
             tracemalloc.stop()
 
-    assert peak(800) <= 2.4 * peak(400)
+    _, low, high = peak(400), peak(400), peak(800)  # the first run fills caches
+    assert high <= 1.1 * low
+
+
+# ---------------------------------------------------------------------------
+# The variant check: a branch back at a renamed candidate point ends at once
+
+
+@pytest.mark.parametrize(
+    "src, options",
+    [("?m[] =?= c ?m[]", 2), ("forall u. ?m[u] =?= c ?m[u] u", 7)],
+    ids=["nullary", "unary"],
+)
+def test_occurs_loop_stops_at_its_first_variant(monkeypatch, src, options):
+    """The second candidate point is the first one renamed, so the search
+    raises the budget's own error there instead of spending 10,000
+    candidates (the unary loop takes six candidates and one inversion)."""
+    opened, taken = [], []
+    candidates, add_entries = unification.candidates, unification._add_entries
+    monkeypatch.setattr(unification, "candidates", lambda *a: opened.append(a) or candidates(*a))
+    monkeypatch.setattr(unification, "_add_entries", lambda *a: taken.append(a) or add_entries(*a))
+    with pytest.raises(Undetermined, match=r"^candidate budget \(10000\) exhausted$"):
+        unify(ulc, MetaSubstitution(), [cstr(src)], SearchConfig(fuel=10_000))
+    assert (len(opened), len(taken)) == (2, options)
+
+
+def test_variant_keys_leave_with_their_branch():
+    """Both projections of ``?m[x, x]`` lead to the same dead end, a candidate
+    point with no option.  The second is no variant of an ancestor: the
+    first one's key left the trail when the search backtracked past it."""
+    problem = [cstr("forall x. ?m[x, x] =?= x"), cstr("forall y. ?p[] =?= y")]
+    with pytest.raises(Clash):
+        unify(ulc, MetaSubstitution(), problem)
+
+
+def test_variant_keys_differ_only_by_meta_names():
+    def key(*sources: str) -> tuple:
+        return unification._variant_key([cstr(src) for src in sources])
+
+    assert key("forall x. ?m[x] =?= c ?n[] ?m[x]") == key("forall y. ?p[y] =?= c ?q[] ?p[y]")
+    assert key("?m[] =?= c ?n[] ?m[]") != key("?m[] =?= c ?m[] ?n[]")
+    assert key("?m[] =?= a", "?n[] =?= b") != key("?m[] =?= b", "?n[] =?= a")
+    assert key("forall x. ?m[] =?= a") != key("?m[] =?= a")
+    assert key("?m[?n[]] =?= a") != key("?m[] =?= ?n[a]")  # told apart by arities
+
+
+def test_variant_keys_ignore_sharing():
+    """A node met again by identity copies its first encoding: the key of a
+    shared term is the key of its tree."""
+    shared = parse_term("f (g ?m[] a) ?n[]", ulc)
+    twice = Op("App", (shared, shared))
+    copied = Op("App", (shared, parse_term("f (g ?m[] a) ?n[]", ulc)))
+    renamed = Op("App", (shared, parse_term("f (g ?n[] a) ?m[]", ulc)))
+    key = unification._variant_key
+    assert key([Constraint(MetaApp("k"), twice)]) == key([Constraint(MetaApp("k"), copied)])
+    assert key([Constraint(MetaApp("k"), twice)]) != key([Constraint(MetaApp("k"), renamed)])
+
+
+def test_variant_keys_record_absent_children_and_annotations():
+    """Each pair has the same nodes in pre-order and differs only in where a
+    child is absent or in which node carries the annotation."""
+    a, b = Free("a"), Free("b")
+    pairs = [
+        (Op("P", (Op("Q", (a, None)), b)), Op("P", (Op("Q", (a, b)), None))),
+        (Op("P", (Op("Q", (a,), b),)), Op("P", (Op("Q", (a,)),), b)),
+    ]
+
+    def nodes(t: Op) -> list:
+        return [getattr(s, "tag", s) for s, *_ in subterms(t)]
+
+    def key(t: Op) -> tuple:
+        return unification._variant_key([Constraint(MetaApp("m"), t)])
+
+    for x, y in pairs:
+        assert nodes(x) == nodes(y) == ["P", "Q", a, b]
+        assert key(x) != key(y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_variant_check_agrees_with_the_unchecked_search(data):
+    """On occurs-shaped problems the check ends branches early, with the
+    outcome the search without it reaches when its budget runs out."""
+    lang = data.draw(st.sampled_from([ulc, stlc, mltt]))
+    problem = data.draw(occurs_problems(lang.signature))
+    assert _outcome(unify, lang, problem) == _outcome(copying_unify, lang, problem)
