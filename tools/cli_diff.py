@@ -11,7 +11,11 @@ budgets that run out in every layer (``--reduce-fuel 1 --fuel 8
 budgets with ``--output ast``, then ``ERROR_COMMANDS`` seeded random
 ``reduce``/``infer`` commands whose term is written with the constructs of
 a language drawn independently of the one it runs in, so about a fifth of
-them end in an unknown-construct error.  Each tree runs every command in one child
+them end in an unknown-construct error, then ``OCCURS_COMMANDS`` seeded
+loop-shaped ``unify`` commands (``?m[xs] =?= C[?m[xs]]``), once at the
+default budgets and once at ``--fuel 60``, where the search's variant check
+ends branches that come back to a renamed choice point; the report says how
+many of them end in ``undetermined:``.  Each tree runs every command in one child
 process, in-process through ``metaterm.cli.main`` with standard input,
 output and error captured; a command that runs past ``TIMEOUT_S`` seconds
 is recorded as a time-out.  Lists every command whose exit code, stdout or
@@ -52,6 +56,8 @@ AST_COMMANDS = 500
 AST_SEED = 23
 ERROR_COMMANDS = 500
 ERROR_SEED = 37
+OCCURS_COMMANDS = 200
+OCCURS_SEED = 43
 #: Seconds a command may run before it is recorded as a time-out.
 TIMEOUT_S = 10.0
 #: Address-space cap of a replaying child, so a runaway command fails alone.
@@ -168,6 +174,32 @@ def random_commands(
     return out
 
 
+def occurs_commands(
+    count: int, seed: int, budgets: tuple[str, ...], label: str
+) -> list[tuple[str, list[str], str | None]]:
+    """``unify`` commands of loop shape, ``forall xs. ?m[xs] =?= C[?m[xs]]``:
+    the flex side again inside one to three rigid nodes ``C`` whose other
+    children are random terms."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        lang = rng.choice(LANGS)
+        scope = list(BINDERS[: rng.randrange(3)])
+        name = rng.choice([meta for meta, arity in METAS.items() if arity <= len(scope)])
+        flex = f"?{name}[{', '.join(rng.sample(scope, METAS[name]))}]"
+        rhs = flex
+        for level in range(rng.randrange(1, 4)):
+            other = _term(rng, lang, scope, rng.randrange(2))
+            forms = [f"({other} {rhs})", f"({rhs} {other})", f"(\\v{level}. {rhs})"]
+            if lang != "ulc":
+                forms += [f"<{rhs}, {other}>", f"<{other}, {rhs}>", f"({rhs} -> {other})"]
+            rhs = rng.choice(forms)
+        quantifier = "".join(f"forall {x}. " for x in scope)
+        argv = ["--lang", lang, *budgets, "unify", "-"]
+        out.append((f"{label}:{i}", argv, f"{quantifier}{flex} =?= {rhs}\n"))
+    return out
+
+
 def mixed_commands(count: int, seed: int, label: str) -> list[tuple[str, list[str], str | None]]:
     """``reduce``/``infer`` commands, each term written in a language drawn
     independently of the one it runs in."""
@@ -257,6 +289,8 @@ def main(argv: list[str] | None = None) -> int:
         + random_commands(RANDOM_COMMANDS, TINY_SEED, TINY_BUDGETS, "tiny")
         + random_commands(AST_COMMANDS, AST_SEED, (*BUDGETS, "--output", "ast"), "ast")
         + mixed_commands(ERROR_COMMANDS, ERROR_SEED, "errors")
+        + occurs_commands(OCCURS_COMMANDS, OCCURS_SEED, (), "occurs")
+        + occurs_commands(OCCURS_COMMANDS, OCCURS_SEED, ("--fuel", "60"), "occurs-fuel60")
     )
     base = run_tree(args.base.resolve(), commands)
     head = run_tree(args.head.resolve(), commands)
@@ -275,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{len(commands)} commands, {len(differing)} differ, "
         f"{timeouts} time-outs over both trees, {len(tracebacks)} tracebacks in head"
     )
+    occurs = [i for i, (label, _, _) in enumerate(commands) if label.startswith("occurs")]
+    undetermined = sum(head[i][2].startswith("undetermined:") for i in occurs)
+    print(f"{undetermined} of {len(occurs)} occurs commands print undetermined: in head")
     transitions = Counter(f"{base[i][0]} -> {head[i][0]}" for i in differing)
     for transition, count in sorted(transitions.items()):
         print(f"{transition}: {count}")

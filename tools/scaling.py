@@ -20,12 +20,14 @@ Runs eight families in process:
 - ``TypeChecker.infer`` on the MLTT J chain
   ``J(?m[\\x. first x], a, a, c, b, a)``, at the candidate budgets
   ``JCHAIN_FUEL``;
-- ``unify`` on the ULC occurs chain ``?m[] =?= c ?m[]``, which opens a
-  choice point for every second candidate and keeps them all open, at the
-  candidate budgets ``FUELCHAIN_FUEL``.
+- ``unify`` on the ULC occurs chain ``?m[] =?= c ?m[]``, which comes back
+  to its first candidate point, renamed, after two candidates (without the
+  search's variant check it opened a point for every second candidate and
+  kept them all open), at the candidate budgets ``FUELCHAIN_FUEL``.
 
 The last three are searches that go down one branch until the budget runs
-out; their size is the budget.
+out, or, for the occurs chain, until the variant check finds that it would;
+their size is the budget.
 
 For each size it prints the median CPU time of ``--repeats`` plain runs,
 then, from one more run with counters attached: ``walk_pops``, the items
@@ -42,18 +44,24 @@ the memory ``tracemalloc`` traces in one more run.  The last line is one
 JSON object with the same rows and, per family, the least-squares log-log
 slopes of time and of ``walk_pops`` or ``peak_kb`` over all its sizes.
 
-``--tree`` imports metaterm from ``DIR/src`` (default: this checkout), so
-two source trees can be compared.  Not part of the test suite.
+``--tree`` imports metaterm from ``DIR/src`` (default: this checkout).
+Given more than once, every tree is loaded side by side in the process and
+the trees take turns size by size, in reversed order at every other size,
+so drift on a shared machine falls on all of them alike; each printed row
+then names its tree, and the JSON object has one report per tree, keyed by
+``--tree`` as given.  Not part of the test suite.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import inspect
 import io
 import json
 import math
+import pkgutil
 import re
 import statistics
 import sys
@@ -234,6 +242,33 @@ class WalkCounter:
         sys.settrace(self.previous)
 
 
+def _drop_metaterm() -> None:
+    for name in [name for name in sys.modules if name.split(".")[0] == "metaterm"]:
+        del sys.modules[name]
+
+
+def load(tree: Path) -> dict:
+    """Every module of ``tree``'s metaterm package, imported apart from any
+    other tree's."""
+    _drop_metaterm()
+    sys.path.insert(0, str(tree.resolve() / "src"))
+    try:
+        package = importlib.import_module("metaterm")
+        for module in pkgutil.walk_packages(package.__path__, "metaterm."):
+            if module.name != "metaterm.__main__":
+                importlib.import_module(module.name)
+    finally:
+        sys.path.pop(0)
+    return {name: mod for name, mod in sys.modules.items() if name.split(".")[0] == "metaterm"}
+
+
+def use(modules: dict) -> None:
+    """Make one tree's modules, from :func:`load`, those that ``import
+    metaterm`` finds."""
+    _drop_metaterm()
+    sys.modules.update(modules)
+
+
 def infer_row(source: str, repeats: int) -> dict:
     from metaterm import LANGUAGES, TypeChecker, parse_term
 
@@ -341,14 +376,18 @@ def peak_row(search, repeats: int) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--tree", type=Path, default=ROOT, help="source tree to measure")
+    parser.add_argument(
+        "--tree", type=Path, action="append", help="source tree to measure (repeatable)"
+    )
     parser.add_argument("--repeats", type=int, default=3, help="timed runs per size")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    sys.path.insert(0, str(args.tree.resolve() / "src"))
+    trees = args.tree or [ROOT]
+    named = len(trees) > 1
+    loaded = [load(tree) for tree in trees]
 
-    report = {}
+    reports: list[dict] = [{} for _ in trees]
     for family, row_of, sizes in (
         ("apply_chain", lambda n: infer_row(apply_chain(n), args.repeats), CHAIN_SIZES),
         ("f_tower", lambda n: infer_row(f_tower(n), args.repeats), TOWER_LEVELS),
@@ -359,17 +398,23 @@ def main(argv: list[str] | None = None) -> int:
         ("jchain", lambda n: search_row(j_chain(n), args.repeats), JCHAIN_FUEL),
         ("fuelchain", lambda n: peak_row(fuel_chain(n), args.repeats), FUELCHAIN_FUEL),
     ):
-        rows = []
-        for size in sizes:
-            row = {"size": size, **row_of(size)}
-            rows.append(row)
-            print(family, " ".join(f"{key}={value}" for key, value in row.items()), flush=True)
-        keys = [key for key in ("ms", "walk_pops", "peak_kb") if key in rows[0]]
-        slopes = {f"slope_{key}": slope(rows, key) for key in keys}
-        slopes = {key: value if value is None else round(value, 3) for key, value in slopes.items()}
-        print(family, " ".join(f"{key}={value}" for key, value in slopes.items()), flush=True)
-        report[family] = {"rows": rows, **slopes}
-    print(json.dumps(report))
+        rows: list[list[dict]] = [[] for _ in trees]
+        for n, size in enumerate(sizes):
+            turns = list(enumerate(loaded))
+            for i, modules in turns[::-1] if n % 2 else turns:
+                use(modules)
+                row = {"size": size, **row_of(size)}
+                rows[i].append(row)
+                shown = {"tree": trees[i], **row} if named else row
+                print(family, " ".join(f"{k}={v}" for k, v in shown.items()), flush=True)
+        for i, tree_rows in enumerate(rows):
+            keys = [key for key in ("ms", "walk_pops", "peak_kb") if key in tree_rows[0]]
+            slopes = {f"slope_{key}": slope(tree_rows, key) for key in keys}
+            slopes = {k: v if v is None else round(v, 3) for k, v in slopes.items()}
+            shown = {"tree": trees[i], **slopes} if named else slopes
+            print(family, " ".join(f"{k}={v}" for k, v in shown.items()), flush=True)
+            reports[i][family] = {"rows": tree_rows, **slopes}
+    print(json.dumps(dict(zip(map(str, trees), reports)) if named else reports[0]))
     return 0
 
 
