@@ -174,20 +174,6 @@ def _add_entries(sig: Signature, entries: dict[str, MetaAbs], new: MetaSubstitut
     _check_acyclic(added, added)
 
 
-def resolve_entries(
-    sig: Signature, substs: MetaSubstitution, names: Iterable[str]
-) -> MetaSubstitution:
-    """``substs`` with the entries of ``names`` expanded so that their
-    bodies mention no key; applying the result equals applying ``substs``.
-    Entries already free of keys are kept as they are."""
-    entries = dict(substs.entries)
-    for name in names:
-        entry = entries[name]
-        if not entries.keys().isdisjoint(entry.metas):
-            entries[name] = MetaAbs(entry.arity, apply_substs(sig, substs, entry.body))
-    return MetaSubstitution._trusted(entries)
-
-
 def metas_of(term: Term | None) -> set[str]:
     """Names of all metavariable applications occurring in the term."""
     return {t.meta for t, _, _, _ in subterms(term) if type(t) is MetaApp}

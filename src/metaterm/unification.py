@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from operator import length_hint
 from typing import Iterable, Iterator
 
@@ -42,7 +43,6 @@ from .metavar import (
     apply_substs,
     extend_substs,
     metas_of,
-    resolve_entries,
 )
 from .reduction import DEFAULT_REDUCE_FUEL, Undetermined, reduce
 from .signature import Signature, SlotKind, zip_match
@@ -452,17 +452,19 @@ def unify(
     Each round simplifies, then opens a choice point: the first pattern
     constraint's only option is its inversion, else the options are the
     first flex-rigid constraint's candidates; each option tried costs one
-    unit of ``cfg.fuel``.  The entries of ``substs`` come back as given;
-    each entry the search adds is resolved (mentions no metavariable with
-    an entry).  Raises :class:`UnificationFailed` when every branch
-    clashes and :class:`Undetermined` when a budget runs out first.  The
-    current branch's entries live in one insertion-ordered dict, the path,
-    used as a trail: a choice point keeps the path's length, and taking its
-    next option first drops every entry added since, then adds the option
-    in place.  Each round reads the path through a fresh view.  A second
-    trail keeps the variant keys of the branch's candidate points: below a
-    point all depends only on its constraints up to renaming, so meeting a
-    key again raises the candidate budget's :class:`Undetermined` at once.
+    unit of ``cfg.fuel``.  Raises :class:`UnificationFailed` when every
+    branch clashes and :class:`Undetermined` when a budget runs out first.
+    The current branch's entries live in one insertion-ordered dict, the
+    path, used as a trail.  It is copied from ``substs`` once, grown in
+    place by options and guesses, and popped back to a choice point's
+    length when that point's next option is taken.  Each round reads it
+    through a fresh view.  At the end the entries of ``substs`` come back
+    as given, the entries added after them are resolved in place (mention
+    no metavariable with an entry), and the path is the solution's
+    substitution.  A second trail keeps the variant keys of the branch's
+    candidate points: below a point all depends only on its constraints up
+    to renaming, so meeting a key again raises the candidate budget's
+    :class:`Undetermined` at once.
     """
     cs, s = list(constraints), substs
     path = dict(substs.entries)
@@ -478,12 +480,16 @@ def unify(
         except Clash as exc:
             clash = exc
         if clash is None:
-            if guessed is not s:  # the guesses come after the path's entries
-                s, path = guessed, dict(guessed.entries)
+            if guessed is not s:  # the path's entries, then the guesses
+                s = guessed
+                path.update(s.entries)
             flex_rigid = [c for c in cs if classify(c) is ConstraintClass.FLEX_RIGID]
-            if not flex_rigid:
-                added = [name for name in s.entries if name not in substs]
-                return Solution(resolve_entries(lang.signature, s, added), tuple(cs))
+            if not flex_rigid:  # every add appends; no pop goes below the caller's entries
+                for name, entry in islice(path.items(), len(substs.entries), None):
+                    if not path.keys().isdisjoint(entry.metas):
+                        body = apply_substs(lang.signature, s, entry.body)
+                        path[name] = MetaAbs(entry.arity, body)
+                return Solution(MetaSubstitution._trusted(path), tuple(cs))
             meta, options, branching = _options(lang, flex_rigid, supply)
             if branching:
                 n = len(keys)

@@ -11,9 +11,9 @@ from metaterm.metavar import (
     FreshSupply,
     MetaAbs,
     MetaSubstitution,
+    apply_substs,
     extend_substs,
     metas_of,
-    resolve_entries,
 )
 from metaterm.reduction import Undetermined
 from metaterm.unification import (
@@ -74,8 +74,9 @@ def solve_checked(
 
 def copying_unify(lang, substs, constraints, cfg=SearchConfig(), supply=None) -> Solution:
     """``unify`` with a full copy of the substitution at every choice point
-    (``extend_substs`` per option taken), no trail and no variant check: the
-    reference for the trail's backtracking and for the check's outcomes."""
+    (``extend_substs`` per option taken), no trail, no variant check, and
+    the added entries resolved on a copy: the reference for the trail's
+    backtracking, for the check's outcomes and for the in-place resolution."""
     cs, s = list(constraints), substs
     supply = supply or _supply_avoiding(s, cs)
     attempts = 0
@@ -89,9 +90,13 @@ def copying_unify(lang, substs, constraints, cfg=SearchConfig(), supply=None) ->
             clash = exc
         if clash is None:
             flex_rigid = [c for c in cs if classify(c) is ConstraintClass.FLEX_RIGID]
-            if not flex_rigid:
-                added = [name for name in s.entries if name not in substs]
-                return Solution(resolve_entries(lang.signature, s, added), tuple(cs))
+            if not flex_rigid:  # resolve the added entries on a copy
+                entries = dict(s.entries)
+                for name, entry in s.entries.items():
+                    if name not in substs and not entries.keys().isdisjoint(entry.metas):
+                        body = apply_substs(lang.signature, s, entry.body)
+                        entries[name] = MetaAbs(entry.arity, body)
+                return Solution(MetaSubstitution._trusted(entries), tuple(cs))
             stack.append((s, cs, *_options(lang, flex_rigid, supply)[:2]))
 
         while True:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from metaterm.languages import LANGUAGES
+from metaterm.languages import LANGUAGES, get_language
 from metaterm.signature import (
     INF_UNIVERSE_TAG,
     SignatureError,
@@ -25,6 +25,14 @@ def test_make_signature_and_lookup():
     sig = make_signature("demo", [("F", [SlotKind.TERM]), ("C", [])])
     assert sig.operators["F"].slots == (SlotKind.TERM,)
     assert sig.operators["C"].slots == ()
+
+
+def test_unknown_language_lists_the_bundled_ones():
+    assert get_language("stlc") is stlc
+    expected = "unknown language 'nope'; choose from ['mltt', 'stlc', 'ulc']"
+    with pytest.raises(KeyError) as info:
+        get_language("nope")
+    assert info.value.args == (expected,)
 
 
 class TestSum:

@@ -113,6 +113,10 @@ class TestSubstituteFree:
         t = app(Free("a"), Free("b"))
         assert substitute_free(SIG, {"c": Free("d")}, t) == t
 
+    def test_empty_environment_returns_the_term(self):
+        t = app(Free("a"), Free("b"))
+        assert substitute_free(SIG, {}, t) is t
+
     @given(terms(SIG, depth=0), terms(SIG, depth=0))
     def test_preserves_well_scopedness(self, t, image):
         assert well_scoped(SIG, substitute_free(SIG, {"a": image}, t), 0)

@@ -22,7 +22,7 @@ from metaterm.typecheck import (
     UnificationFailure,
     erase,
 )
-from metaterm.unification import SearchConfig, Undetermined
+from metaterm.unification import Constraint, SearchConfig, Undetermined
 
 from strategies import terms
 
@@ -339,12 +339,25 @@ class TestInvariants:
         (Op("NoSuchTag", ()), "unknown operator 'NoSuchTag'"),
         (Op("App", (Free("f"),)), "App has 1 children, expected 2"),
         (Op("App", (None, Free("a"))), "not a term: None"),
+        (Op("UInf"), "no typing rule for 'UInf'"),
     ],
-    ids=["unbound-index", "hole", "unknown-tag", "child-count", "missing-child"],
+    ids=["unbound-index", "hole", "unknown-tag", "child-count", "missing-child", "no-rule"],
 )
 def test_malformed_terms_are_type_errors(term, message):
     with pytest.raises(TypeCheckError, match=re.escape(message)):
         TypeChecker(stlc).infer(term)
+
+
+def test_an_unannotated_node_has_no_type():
+    with pytest.raises(TypeCheckError, match="^unannotated node 'App'$"):
+        TypeChecker(stlc).type_of(Op("App", (Free("f"), Free("a"))))
+
+
+def test_type_errors_print_their_cause():
+    failure = UnificationFailure(Constraint(Free("a"), Free("b")))
+    assert str(failure) == "cannot unify types in <Free(name='a') =?= Free(name='b')>"
+    escape = DependencyEscape(Bound(0))
+    assert str(escape) == "inferred type depends on its bound variable: Bound(index=0)"
 
 
 class TestUndetermined:

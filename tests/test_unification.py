@@ -587,26 +587,41 @@ def test_simplify_reads_a_rigid_spine_once():
     assert spy.call_count <= 2
 
 
+def _undetermined_peak(search, src: str, fuel: int) -> int:
+    """The traced peak of a ``search`` of ``src`` that runs out of fuel."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        with pytest.raises(Undetermined):
+            search(ulc, MetaSubstitution(), [cstr(src)], SearchConfig(fuel=fuel))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_search_memory_grows_linearly_with_fuel():
     """``?m[] =?= c ?m[]`` comes back to its first candidate point, renamed,
     after two candidates at any budget, and the variant check ends it there,
     so its peak stays flat.  Without the check it kept a choice point open
     per second candidate: the peak grew x2 from fuel 400 to 800 with the
     trail and x3.0 with a copy of the entries at each point."""
-    problem = [cstr("?m[] =?= c ?m[]")]
-
-    def peak(fuel: int) -> int:
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            with pytest.raises(Undetermined):
-                unify(ulc, MetaSubstitution(), problem, SearchConfig(fuel=fuel))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    _, low, high = peak(400), peak(400), peak(800)  # the first run fills caches
+    src = "?m[] =?= c ?m[]"
+    _undetermined_peak(unify, src, 400)  # the first run fills caches
+    low, high = _undetermined_peak(unify, src, 400), _undetermined_peak(unify, src, 800)
     assert high <= 1.1 * low
+
+
+def test_trail_memory_is_below_a_copy_per_choice_point():
+    """``?m[] =?= c ?m[] ?n[]`` never repeats a state, so it goes down one
+    branch until the budget runs out.  The trail keeps one entry per
+    binding; the reference keeps a substitution per choice point, with the
+    memo that reading it filled: about 530 KB against 740 KB at fuel 200.
+    A search that kept each point's substitution fails this bound."""
+    src = "?m[] =?= c ?m[] ?n[]"
+    for search in (unify, copying_unify):  # the first runs fill caches
+        _undetermined_peak(search, src, 200)
+    trail = _undetermined_peak(unify, src, 200)
+    assert trail <= 0.85 * _undetermined_peak(copying_unify, src, 200)
 
 
 # ---------------------------------------------------------------------------

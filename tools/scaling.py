@@ -71,7 +71,7 @@ from pathlib import Path
 from time import process_time
 
 ROOT = Path(__file__).resolve().parent.parent
-CHAIN_SIZES = (10, 20, 40, 80, 160)
+CHAIN_SIZES = (10, 20, 40, 80, 160, 320, 640)
 TOWER_LEVELS = (150, 300, 600)
 CHURCH_VALUES = (64, 128, 256, 512, 1024)
 ARROWS = (250, 500, 1000, 2000)
